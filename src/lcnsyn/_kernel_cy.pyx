@@ -122,7 +122,7 @@ cdef struct SweepState:
 
 cdef int _sweep(SweepState* s, long long cap, bint count_all,
                 long long* checked, long long* good, int* found_succ) noexcept nogil:
-    """Backtracking over candidates; mirrors the recursive fallback.
+    """Backtracking over candidates in the order of ``_kernel_py.candidates``.
 
     In first-hit mode (count_all == 0) returns FOUND/EXHAUSTED/CAP and
     writes the successful assignment into ``found_succ``; in count mode

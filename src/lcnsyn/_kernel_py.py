@@ -17,8 +17,10 @@ sequences of ints):
 
 A candidate is one choice of successor per state, injective within each
 class; candidates are visited in lexicographic order of the chosen
-values along ``members``. An assignment is returned as the tuple of
-successors indexed by state (position s-1 = successor of state s).
+values along ``members``. One iterative walker, ``candidates``, defines
+that order: both sweeps here and ``synthesis.enumerate_candidates``
+consume it. An assignment is returned as the tuple of successors
+indexed by state (position s-1 = successor of state s).
 """
 
 from __future__ import annotations
@@ -76,15 +78,44 @@ def closed_loop_observable(succ, out) -> bool:
     return _observable0(succ0, list(out), n, bytearray(n * n))
 
 
-def _prepare(out, members, class_sizes):
-    n = len(out)
-    out0 = list(out)
+def candidates(members, class_sizes, options_flat, option_offsets):
+    """Walk the candidate space in sweep order; the one definition of that order.
+
+    Yields one 0-based successor list per candidate (indexed by state).
+    The same list is yielded every time and changed in place when the
+    walk resumes, so copy it to keep it. The walk keeps an option cursor
+    and a chosen value per position and one used-value row per class,
+    like the compiled ``_sweep``.
+    """
+    n = len(members)
     members0 = [m - 1 for m in members]
-    class_of = []
-    for c, size in enumerate(class_sizes):
-        class_of.extend([c] * size)
     used = [bytearray(n + 1) for _ in class_sizes]
-    return n, out0, members0, class_of, used
+    rows = [row for row, size in zip(used, class_sizes) for _ in range(size)]
+    succ0 = [0] * n
+    chosen = [0] * n
+    cursor = list(option_offsets)
+    pos = 0
+    while True:
+        if pos == n:
+            yield succ0
+        else:
+            row = rows[pos]
+            k, end = cursor[pos], option_offsets[pos + 1]
+            while k < end and row[options_flat[k]]:
+                k += 1
+            if k < end:
+                v = options_flat[k]
+                row[v] = 1
+                chosen[pos] = v
+                succ0[members0[pos]] = v - 1
+                cursor[pos] = k + 1
+                pos += 1
+                continue
+            cursor[pos] = option_offsets[pos]  # exhausted: rewind for the next visit
+        pos -= 1
+        if pos < 0:
+            return
+        rows[pos][chosen[pos]] = 0
 
 
 def sweep_first_observable(out, members, class_sizes, options_flat,
@@ -96,66 +127,25 @@ def sweep_first_observable(out, members, class_sizes, options_flat,
     or CAP_REACHED and assignment is the successful successor tuple
     (None unless FOUND).
     """
-    n, out0, members0, class_of, used = _prepare(out, members, class_sizes)
-    succ0 = [0] * n
+    n = len(out)
+    out0 = list(out)
     checked = 0
-    status = EXHAUSTED
-    found = None
-
-    def rec(pos: int) -> bool:
-        nonlocal checked, status, found
-        if pos == n:
-            if 0 <= cap <= checked:
-                status = CAP_REACHED
-                return True
-            checked += 1
-            if _observable0(succ0, out0, n, bytearray(n * n)):
-                found = tuple(s + 1 for s in succ0)
-                status = FOUND
-                return True
-            return False
-        m0 = members0[pos]
-        u = used[class_of[pos]]
-        for k in range(option_offsets[pos], option_offsets[pos + 1]):
-            v = options_flat[k]
-            if u[v]:
-                continue
-            u[v] = 1
-            succ0[m0] = v - 1
-            stop = rec(pos + 1)
-            u[v] = 0
-            if stop:
-                return True
-        return False
-
-    rec(0)
-    return status, checked, found
+    for succ0 in candidates(members, class_sizes, options_flat, option_offsets):
+        if 0 <= cap <= checked:
+            return CAP_REACHED, checked, None
+        checked += 1
+        if _observable0(succ0, out0, n, bytearray(n * n)):
+            return FOUND, checked, tuple(s + 1 for s in succ0)
+    return EXHAUSTED, checked, None
 
 
 def sweep_count_observable(out, members, class_sizes, options_flat, option_offsets):
     """Evaluate every candidate; return ``(total, observable_count)``."""
-    n, out0, members0, class_of, used = _prepare(out, members, class_sizes)
-    succ0 = [0] * n
-    total = 0
-    good = 0
-
-    def rec(pos: int) -> None:
-        nonlocal total, good
-        if pos == n:
-            total += 1
-            if _observable0(succ0, out0, n, bytearray(n * n)):
-                good += 1
-            return
-        m0 = members0[pos]
-        u = used[class_of[pos]]
-        for k in range(option_offsets[pos], option_offsets[pos + 1]):
-            v = options_flat[k]
-            if u[v]:
-                continue
-            u[v] = 1
-            succ0[m0] = v - 1
-            rec(pos + 1)
-            u[v] = 0
-
-    rec(0)
+    n = len(out)
+    out0 = list(out)
+    total = good = 0
+    for succ0 in candidates(members, class_sizes, options_flat, option_offsets):
+        total += 1
+        if _observable0(succ0, out0, n, bytearray(n * n)):
+            good += 1
     return total, good

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from . import files
 from .analysis import (
@@ -23,13 +24,7 @@ from .analysis import (
     transition_graph,
 )
 from .feedback import apply_feedback
-from .synthesis import (
-    Verdict,
-    candidate_bounds,
-    injective_choice_count,
-    output_partition,
-    synthesize_observability,
-)
+from .synthesis import Verdict, _bounds, output_partition, synthesize_observability
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -130,6 +125,10 @@ def cmd_apply_feedback(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.max_candidates is not None and args.max_candidates < 0:
+        print(f"error: --max-candidates must be non-negative, got {args.max_candidates}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     lcn = _load_network(args.network)
     if lcn is None:
         return EXIT_INPUT_ERROR
@@ -166,10 +165,9 @@ def cmd_bounds(args) -> int:
     lcn = _load_network(args.network)
     if lcn is None:
         return EXIT_INPUT_ERROR
-    naive, refined = candidate_bounds(lcn)
-    part = output_partition(lcn)
-    nums = [injective_choice_count(lcn, part, i) for i in range(1, len(part.classes) + 1)]
-    _print_report({"naive": naive, "refined": refined, "num_factors": nums}, args.format)
+    naive, nums = _bounds(lcn, output_partition(lcn))
+    _print_report({"naive": naive, "refined": prod(nums), "num_factors": list(nums)},
+                  args.format)
     return EXIT_OK
 
 

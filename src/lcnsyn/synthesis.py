@@ -36,7 +36,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from . import kernel
+from . import _kernel_py, kernel
 from .analysis import is_controllable, is_observable
 from .feedback import ClosedLoopController
 from .model import Lcn
@@ -168,15 +168,22 @@ def injective_choice_count(lcn: Lcn, partition: OutputClassPartition, i: int) ->
     return count(0)
 
 
+def _bounds(lcn: Lcn, partition: OutputClassPartition) -> tuple[int, tuple[int, ...]]:
+    """Naive bound and the per-class injective choice counts (whose
+    product is the refined bound), counting each class once."""
+    naive = prod(len(_successor_options(lcn, x)) for x in range(1, lcn.state_dim + 1))
+    nums = tuple(
+        injective_choice_count(lcn, partition, i)
+        for i in range(1, len(partition.classes) + 1)
+    )
+    return naive, nums
+
+
 def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     """(naive, refined) candidate counts: product of block column counts
     versus product of per-class injective choice counts."""
-    naive = prod(len(_successor_options(lcn, x)) for x in range(1, lcn.state_dim + 1))
-    part = output_partition(lcn)
-    refined = prod(
-        injective_choice_count(lcn, part, i) for i in range(1, len(part.classes) + 1)
-    )
-    return naive, refined
+    naive, nums = _bounds(lcn, output_partition(lcn))
+    return naive, prod(nums)
 
 
 def find_zero_choice_class(lcn: Lcn, partition: OutputClassPartition) -> int | None:
@@ -226,40 +233,9 @@ def enumerate_candidates(lcn: Lcn,
     ascending). Yields exactly the refined bound."""
     if partition is None:
         partition = output_partition(lcn)
-    for succ in _assignments(lcn, partition):
-        yield controller_for_map(lcn, succ)
-
-
-def _assignments(lcn: Lcn, partition: OutputClassPartition) -> Iterator[tuple[int, ...]]:
-    """Successor tuples (indexed by state) in sweep order."""
-    n = lcn.state_dim
-    order: list[int] = []
-    boundaries: list[int] = [0]
-    for cls in partition.classes:
-        order.extend(cls.members)
-        boundaries.append(len(order))
-    options = [_successor_options(lcn, x) for x in order]
-    class_of = [0] * n
-    for c in range(len(partition.classes)):
-        for pos in range(boundaries[c], boundaries[c + 1]):
-            class_of[pos] = c
-    used: list[set[int]] = [set() for _ in partition.classes]
-    succ = [0] * (n + 1)
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(succ[1:])
-            return
-        u = used[class_of[pos]]
-        for v in options[pos]:
-            if v in u:
-                continue
-            u.add(v)
-            succ[order[pos]] = v
-            yield from rec(pos + 1)
-            u.discard(v)
-
-    return rec(0)
+    _out, *walk = _sweep_arguments(lcn, partition)
+    for succ0 in _kernel_py.candidates(*walk):
+        yield controller_for_map(lcn, [s + 1 for s in succ0])
 
 
 def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
@@ -273,13 +249,13 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     run first; then candidates are swept in order until one verifies
     observable. Exhausting them proves no state feedback of any size can
     help. A candidate cap (``max_candidates``) turns exhaustion into
-    DECISION_INCOMPLETE instead of guessing.
+    DECISION_INCOMPLETE instead of guessing; a negative cap raises
+    ValueError.
     """
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
     part = output_partition(lcn)
-    nums = tuple(
-        injective_choice_count(lcn, part, i) for i in range(1, len(part.classes) + 1)
-    )
-    naive = prod(len(_successor_options(lcn, x)) for x in range(1, lcn.state_dim + 1))
+    naive, nums = _bounds(lcn, part)
     refined = prod(nums)
 
     if is_observable(lcn):

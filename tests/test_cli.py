@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lcnsyn import synthesis
 from lcnsyn.cli import main
 from lcnsyn.files import load_network
 
@@ -137,12 +138,28 @@ class TestSynthesize:
         assert doc["verdict"] == "DECISION_INCOMPLETE"
         assert doc["candidates_checked"] == 1
 
+    def test_negative_candidate_cap_is_an_input_error(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "synthesize", fixtures_dir / "big84.json",
+                             "--max-candidates", "-5")
+        assert code == 2
+        assert out == ""
+        assert "--max-candidates must be non-negative" in err
+
 
 class TestBounds:
     def test_big_network(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "bounds", fixtures_dir / "big84.json")
         assert code == 0
         assert doc == {"naive": 49152, "refined": 7038, "num_factors": [153, 46]}
+
+    def test_counts_each_class_once(self, capsys, fixtures_dir, monkeypatch):
+        calls = []
+        count = synthesis.injective_choice_count
+        monkeypatch.setattr(synthesis, "injective_choice_count",
+                            lambda lcn, part, i: calls.append(i) or count(lcn, part, i))
+        code, _doc, _ = run_json(capsys, "bounds", fixtures_dir / "big84.json")
+        assert code == 0
+        assert calls == [1, 2]
 
     def test_sink(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "bounds", fixtures_dir / "sink42_out2.json")

@@ -1,4 +1,12 @@
-"""Backend parity: compiled and pure kernels must agree exactly."""
+"""Sweep kernels: the candidate walk, and backend parity.
+
+The pure-Python kernel is checked everywhere against independent
+references (a brute-force product, the public enumeration, the pair
+graph analysis); only the Python-vs-Cython comparisons need the
+compiled extension.
+"""
+
+from itertools import product
 
 import pytest
 
@@ -9,7 +17,7 @@ from lcnsyn import apply_feedback, candidate_bounds, enumerate_candidates, is_ob
 from lcnsyn import kernel
 from lcnsyn.synthesis import _sweep_arguments, output_partition
 
-pytestmark = pytest.mark.skipif(
+needs_cython = pytest.mark.skipif(
     "cython" not in kernel.available_backends(),
     reason="compiled kernel unavailable",
 )
@@ -18,31 +26,49 @@ PY = kernel.get_backend("python")
 CY = kernel.get_backend("cython") if "cython" in kernel.available_backends() else None
 
 
+@pytest.fixture(params=["python", pytest.param("cython", marks=needs_cython)])
+def backend(request):
+    return kernel.get_backend(request.param)
+
+
 def closed_loop_arrays(lcn):
     succ = [lcn.step(x, 1) for x in range(1, lcn.state_dim + 1)]
     out = [lcn.output(x) for x in range(1, lcn.state_dim + 1)]
     return succ, out
 
 
+def product_order(members, class_sizes, options_flat, option_offsets):
+    """Brute-force candidate order: every per-position option tuple in
+    lexicographic order, kept when injective within each class."""
+    options = [options_flat[a:b] for a, b in zip(option_offsets, option_offsets[1:])]
+    bounds = [0]
+    for size in class_sizes:
+        bounds.append(bounds[-1] + size)
+    for values in product(*options):
+        if all(len(set(values[a:b])) == b - a for a, b in zip(bounds, bounds[1:])):
+            succ = [0] * len(members)
+            for x, v in zip(members, values):
+                succ[x - 1] = v - 1
+            yield succ
+
+
 class TestClosedLoopObservable:
-    def test_reference_closed_loops(self):
+    def test_reference_closed_loops(self, backend):
         for lcn, expected in (
             (nets.BIG84_CL_ONES, False),
             (nets.BIG84_CL_MIX, True),
             (nets.TRI32_CL, False),
         ):
             succ, out = closed_loop_arrays(lcn)
-            assert PY.closed_loop_observable(succ, out) is expected
-            assert CY.closed_loop_observable(succ, out) is expected
+            assert backend.closed_loop_observable(succ, out) is expected
 
-    def test_matches_graph_analysis_on_random_closed_loops(self, rng):
+    def test_matches_graph_analysis_on_random_closed_loops(self, backend, rng):
         for _ in range(300):
             lcn = random_lcn(rng, n_max=6, m_max=1, q_max=3)
             succ, out = closed_loop_arrays(lcn)
-            expected = is_observable(lcn).observable
-            assert PY.closed_loop_observable(succ, out) == expected
-            assert CY.closed_loop_observable(succ, out) == expected
+            assert backend.closed_loop_observable(succ, out) == is_observable(lcn).observable
 
+    @needs_cython
     def test_large_state_space(self, rng):
         for _ in range(5):
             n = 200
@@ -51,6 +77,60 @@ class TestClosedLoopObservable:
             assert PY.closed_loop_observable(succ, out) == CY.closed_loop_observable(succ, out)
 
 
+class TestCandidateWalk:
+    def test_matches_brute_force_product_order(self, rng):
+        for _ in range(60):
+            lcn = random_lcn(rng, n_max=5, m_max=3, q_max=2)
+            _out, *walk = _sweep_arguments(lcn, output_partition(lcn))
+            walked = [list(succ0) for succ0 in PY.candidates(*walk)]
+            assert walked == list(product_order(*walk))
+
+    def test_big_network_leaf_count(self):
+        _out, *walk = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
+        assert sum(1 for _ in PY.candidates(*walk)) == 7038
+
+    def test_zero_choice_class_yields_nothing(self):
+        _out, *walk = _sweep_arguments(nets.SINK42_OUT2, output_partition(nets.SINK42_OUT2))
+        assert list(PY.candidates(*walk)) == []
+
+
+class TestSweep:
+    def test_sweep_order_matches_public_enumeration(self, backend, rng):
+        # the backends' leaf order is the documented candidate order
+        for _ in range(30):
+            lcn = random_lcn(rng)
+            args = _sweep_arguments(lcn, output_partition(lcn))
+            closed = [apply_feedback(lcn, c) for c in enumerate_candidates(lcn)]
+            maps = [fed.L.col_indices for fed in closed]
+            hits = [fed.L.col_indices for fed in closed if is_observable(fed).observable]
+            status, checked, found = backend.sweep_first_observable(*args, -1)
+            if hits:
+                assert status == kernel.FOUND
+                assert found == hits[0]
+                assert checked == maps.index(hits[0]) + 1
+            else:
+                assert status == kernel.EXHAUSTED
+                assert checked == len(maps)
+            assert backend.sweep_count_observable(*args) == (len(maps), len(hits))
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5, 828])
+    def test_cap_below_witness_rank(self, backend, cap):
+        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
+        assert backend.sweep_first_observable(*args, cap) == (kernel.CAP_REACHED, cap, None)
+
+    def test_cap_at_witness_rank_finds_it(self, backend):
+        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
+        status, checked, found = backend.sweep_first_observable(*args, 829)
+        assert (status, checked) == (kernel.FOUND, 829)
+        assert backend.sweep_first_observable(*args, -1) == (status, checked, found)
+
+    def test_big_network_full_count(self, backend):
+        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
+        total, _good = backend.sweep_count_observable(*args)
+        assert total == candidate_bounds(nets.BIG84)[1]
+
+
+@needs_cython
 class TestSweepParity:
     def test_big_network_first_hit(self):
         args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
@@ -58,10 +138,7 @@ class TestSweepParity:
 
     def test_big_network_full_count(self):
         args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        py_total, py_good = PY.sweep_count_observable(*args)
-        cy_total, cy_good = CY.sweep_count_observable(*args)
-        assert (py_total, py_good) == (cy_total, cy_good)
-        assert py_total == candidate_bounds(nets.BIG84)[1]
+        assert PY.sweep_count_observable(*args) == CY.sweep_count_observable(*args)
 
     def test_random_networks_all_results_identical(self, rng):
         for _ in range(60):
@@ -70,28 +147,7 @@ class TestSweepParity:
             assert PY.sweep_first_observable(*args, -1) == CY.sweep_first_observable(*args, -1)
             assert PY.sweep_count_observable(*args) == CY.sweep_count_observable(*args)
 
-    def test_cap_parity(self, rng):
+    def test_cap_parity(self):
+        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
         for cap in (0, 1, 2, 5):
-            args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
             assert PY.sweep_first_observable(*args, cap) == CY.sweep_first_observable(*args, cap)
-
-    def test_sweep_order_matches_public_enumeration(self, rng):
-        # the backends' leaf order is the documented candidate order
-        for _ in range(30):
-            lcn = random_lcn(rng)
-            args = _sweep_arguments(lcn, output_partition(lcn))
-            maps = [
-                apply_feedback(lcn, c).L.col_indices for c in enumerate_candidates(lcn)
-            ]
-            hits_py = [
-                m for m in maps
-                if PY.closed_loop_observable(m, args[0])
-            ]
-            status, checked, found = PY.sweep_first_observable(*args, -1)
-            if hits_py:
-                assert status == kernel.FOUND
-                assert found == hits_py[0]
-                assert checked == maps.index(hits_py[0]) + 1
-            else:
-                assert status == kernel.EXHAUSTED
-                assert checked == len(maps)

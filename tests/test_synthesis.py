@@ -26,6 +26,7 @@ from lcnsyn import (
     structural_obstruction,
     synthesize_observability,
 )
+from lcnsyn import synthesis
 
 # Two equal-output states each locked onto itself: candidates exist but
 # their shared pair self-loops forever, so synthesis must still fail.
@@ -262,6 +263,19 @@ class TestSynthesize:
         assert report.candidates_checked == 1
         big_enough = synthesize_observability(nets.BIG84, max_candidates=7038)
         assert big_enough.verdict is Verdict.SYNTHESIZED
+
+    def test_negative_candidate_cap_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            synthesize_observability(nets.BIG84, max_candidates=-5)
+
+    @pytest.mark.parametrize("func", [candidate_bounds, synthesize_observability])
+    def test_counts_each_class_once(self, func, monkeypatch):
+        calls = []
+        count = synthesis.injective_choice_count
+        monkeypatch.setattr(synthesis, "injective_choice_count",
+                            lambda lcn, part, i: calls.append(i) or count(lcn, part, i))
+        func(nets.BIG84)
+        assert calls == [1, 2]
 
     def test_merging_equal_output_states_is_always_unobservable(self, rng):
         # the fact behind within-class injectivity: g mapping two
