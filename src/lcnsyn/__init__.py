@@ -49,7 +49,6 @@ from .synthesis import (
     candidate_bounds,
     controllability_synthesis_verdict,
     enumerate_candidates,
-    find_zero_choice_class,
     injective_choice_count,
     output_partition,
     structural_obstruction,
@@ -89,7 +88,6 @@ __all__ = [
     "expand",
     "export_dot",
     "feedback_adjacency",
-    "find_zero_choice_class",
     "from_truth_table",
     "identity",
     "injective_choice_count",

@@ -3,7 +3,8 @@
 Controllability reduces to strong connectivity of the state transition
 graph, whose adjacency matrix has the closed form ``[L_1 1_M, ...,
 L_N 1_M]`` (column x counts, per target state, the inputs driving x
-there).
+there). The decision reads each state's successors straight from its
+block ``L_x``.
 
 Observability uses the pair graph on unordered equal-output state pairs
 ``{x, x'}``: an input u induces an edge to ``{f(x,u), f(x',u)}`` when
@@ -15,6 +16,13 @@ and every diagonal vertex stays diagonal, so its internal structure is
 irrelevant to the decision). The network is unobservable exactly when
 some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
+
+Both decisions walk one integer adjacency. Observability takes one pass
+over Tarjan's strongly connected components in emission order: Tarjan
+emits a component only after every component it can reach, so a
+component reaches a cycle exactly when it is cyclic itself (two or more
+vertices, or a self-loop) or one of its successors was already found to
+reach one. The least pair that reaches a cycle is the witness.
 """
 
 from __future__ import annotations
@@ -104,17 +112,6 @@ def transition_graph(lcn: Lcn) -> StateTransitionGraph:
     return StateTransitionGraph(n, DenseMatrix(n, n, tuple(counts)))
 
 
-def _successor_lists(adj: DenseMatrix) -> list[list[int]]:
-    """0-based successor lists: succs[j] = targets of vertex j, ascending."""
-    n = adj.rows
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if adj.entries[i * n + j] > 0:
-                succs[j].append(i)
-    return succs
-
-
 def _strong_components(succs: list[list[int]]) -> list[list[int]]:
     """Strongly connected components of a 0-based digraph (iterative Tarjan)."""
     n = len(succs)
@@ -181,10 +178,11 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
     pairs with no path, the one with the greatest source and, for that
     source, the least target.
     """
-    succs = _successor_lists(transition_graph(lcn).adjacency)
+    n, m = lcn.state_dim, lcn.input_dim
+    cols = lcn.L.col_indices
+    succs = [sorted({t - 1 for t in cols[x * m:(x + 1) * m]}) for x in range(n)]
     if len(_strong_components(succs)) == 1:
         return ControllabilityResult(True, None)
-    n = len(succs)
     for src in range(n - 1, -1, -1):
         reach = _reach_set(succs, src)
         if len(reach) == n:
@@ -197,55 +195,24 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
 def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     """Pair graph on equal-output state pairs, diagonal collapsed to DIAG."""
     n, m = lcn.state_dim, lcn.input_dim
+    cols = lcn.L.col_indices
     out = [lcn.output(x) for x in range(1, n + 1)]
     vertices = tuple(
         (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if out[i - 1] == out[j - 1]
     )
-    weights: dict[tuple, set[int]] = {}
-    for i, j in vertices:
-        for u in range(1, m + 1):
-            a, b = lcn.step(i, u), lcn.step(j, u)
+    edges = []
+    for src in vertices:
+        i, j = src
+        inputs: dict = {}  # target -> the inputs leading there, ascending
+        for u in range(m):
+            a, b = cols[(i - 1) * m + u], cols[(j - 1) * m + u]
             if a == b:
-                tgt: Vertex = DIAG
-            else:
-                if out[a - 1] != out[b - 1]:
-                    continue  # successors distinguishable: no edge
-                tgt = (a, b) if a < b else (b, a)
-            weights.setdefault(((i, j), tgt), set()).add(u)
-    weights[(DIAG, DIAG)] = set(range(1, m + 1))
-    edges = tuple(
-        (src, dst, tuple(sorted(ws)))
-        for (src, dst), ws in sorted(
-            weights.items(), key=lambda kv: (_vertex_key(kv[0][0]), _vertex_key(kv[0][1]))
-        )
-    )
-    return ObservabilityGraph(vertices, edges, m)
-
-
-def _pair_successors(graph: ObservabilityGraph) -> dict:
-    succs: dict = {v: [] for v in graph.vertices}
-    succs[DIAG] = []
-    for src, dst, _w in graph.edges:
-        succs[src].append(dst)
-    for v in succs:
-        succs[v].sort(key=_vertex_key)
-    return succs
-
-
-def _cyclic_vertices(graph: ObservabilityGraph) -> set:
-    """Vertices on a cycle: DIAG, self-loops, and SCCs of size >= 2."""
-    verts = [*graph.vertices, DIAG]
-    pos = {v: k for k, v in enumerate(verts)}
-    succs0: list[list[int]] = [[] for _ in verts]
-    cyclic: set = {DIAG}
-    for src, dst, _w in graph.edges:
-        if src == dst:
-            cyclic.add(src)
-        succs0[pos[src]].append(pos[dst])
-    for comp in _strong_components(succs0):
-        if len(comp) >= 2:
-            cyclic.update(verts[w] for w in comp)
-    return cyclic
+                inputs.setdefault(DIAG, []).append(u + 1)
+            elif out[a - 1] == out[b - 1]:  # else distinguishable: no edge
+                inputs.setdefault((a, b) if a < b else (b, a), []).append(u + 1)
+        edges.extend((src, t, tuple(inputs[t])) for t in sorted(inputs, key=_vertex_key))
+    edges.append((DIAG, DIAG, tuple(range(1, m + 1))))
+    return ObservabilityGraph(vertices, tuple(edges), m)
 
 
 def is_observable(lcn: Lcn) -> ObservabilityResult:
@@ -256,45 +223,35 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     vertex; BFS ties are broken by vertex order, DIAG last.
     """
     graph = observability_graph(lcn)
-    succs = _pair_successors(graph)
-    cyclic = _cyclic_vertices(graph)
-    # reverse reachability from the cyclic set over non-diagonal vertices
-    preds: dict = {v: [] for v in succs}
-    for src, dst, _w in graph.edges:
-        preds[dst].append(src)
-    bad = set(v for v in cyclic if v is not DIAG)
-    queue = deque(cyclic)
-    while queue:
-        v = queue.popleft()
-        for p in preds[v]:
-            if p is not DIAG and p not in bad:
-                bad.add(p)
-                queue.append(p)
-    bad_pairs = sorted(v for v in bad)
-    if not bad_pairs:
+    verts = [*graph.vertices, DIAG]
+    pos = {v: k for k, v in enumerate(verts)}
+    succs: list[list[int]] = [[] for _ in verts]
+    for src, dst, _w in graph.edges:  # sorted edges: each list ascends
+        succs[pos[src]].append(pos[dst])
+    cyclic = [False] * len(verts)
+    bad = [False] * len(verts)  # reaches a cyclic vertex
+    for comp in _strong_components(succs):
+        on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
+        reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
+        for v in comp:
+            cyclic[v], bad[v] = on_cycle, reaches
+    start = bad.index(True)
+    if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
         return ObservabilityResult(True, None)
-    start = bad_pairs[0]
-    # shortest path from the least bad pair to the cyclic set
+    # shortest path from the least bad pair to a cyclic vertex
     parent: dict = {start: None}
     queue = deque([start])
-    entry = None
-    while queue:
-        v = queue.popleft()
-        if v in cyclic:
-            entry = v
-            break
+    while not cyclic[v := queue.popleft()]:
         for w in succs[v]:
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
-    assert entry is not None
     path = []
-    v = entry
     while v is not None:
-        path.append(v)
+        path.append(verts[v])
         v = parent[v]
     path.reverse()
-    return ObservabilityResult(False, ObservabilityWitness(start, tuple(path), entry))
+    return ObservabilityResult(False, ObservabilityWitness(path[0], tuple(path), path[-1]))
 
 
 def _pair_name(v: Vertex, wide: bool) -> str:

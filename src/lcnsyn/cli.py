@@ -98,8 +98,9 @@ def cmd_check_observability(args) -> int:
         return EXIT_INPUT_ERROR
     result = is_observable(lcn)
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
-    graph = observability_graph(lcn)
-    if result.witness is not None and args.format == "text":
+    text_witness = result.witness is not None and args.format == "text"
+    graph = observability_graph(lcn) if text_witness or args.dot else None
+    if text_witness:
         doc["witness_path"] = _obs_witness_text(result.witness, graph)
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -42,13 +42,15 @@ def _require_int(doc, key: str, violations: list[str]) -> int | None:
     return v
 
 
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+
+
 def _opt_int_list(doc, key: str, violations: list[str]):
     v = doc.get(key)
     if v is None:
         return None
-    if not isinstance(v, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in v
-    ):
+    if not _is_int_list(v):
         violations.append(f"{key} must be a list of integers")
         return None
     return tuple(v)
@@ -78,7 +80,19 @@ def network_from_dict(doc: dict) -> Lcn:
     if table is not None:
         if not isinstance(table, dict) or "transition" not in table or "output" not in table:
             raise FileFormatError(["truth_table must hold transition and output tables"])
-        lcn = from_truth_table(n, m, q, table["transition"], table["output"])
+        rows, outs = table["transition"], table["output"]
+        if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
+            raise FileFormatError(["truth_table transition must be a list of integer lists"])
+        if not _is_int_list(outs):
+            raise FileFormatError(["truth_table output must be a list of integers"])
+        if len(rows) != n or any(len(r) != m for r in rows) or len(outs) != n:
+            raise FileFormatError(
+                [f"truth_table needs {n} transition rows of {m} entries and {n} outputs"]
+            )
+        try:
+            lcn = from_truth_table(n, m, q, rows, outs)
+        except ValueError as exc:  # an index out of range
+            raise FileFormatError([str(exc)]) from exc
         if hcols is not None:
             raise FileFormatError(["truth_table already defines the output map; drop H"])
     else:

@@ -186,14 +186,6 @@ def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     return naive, prod(nums)
 
 
-def find_zero_choice_class(lcn: Lcn, partition: OutputClassPartition) -> int | None:
-    """1-based index of the first class admitting no injective choice."""
-    for i in range(1, len(partition.classes) + 1):
-        if injective_choice_count(lcn, partition, i) == 0:
-            return i
-    return None
-
-
 def _sweep_arguments(lcn: Lcn, partition: OutputClassPartition):
     out = [lcn.output(x) for x in range(1, lcn.state_dim + 1)]
     members: list[int] = []

@@ -222,6 +222,40 @@ class TestIsObservable:
             lcn = random_lcn(rng)
             assert is_controllable(lcn).controllable == oracle_controllable(lcn)
 
+    def test_witness_properties_on_random_nets(self, rng):
+        # Every fact is recomputed by plain per-vertex BFS over the edges.
+        unobservable = 0
+        for _ in range(300):
+            lcn = random_lcn(rng, 7, 3, 3)
+            succs = {}
+            for src, dst, _w in observability_graph(lcn).edges:
+                succs.setdefault(src, set()).add(dst)
+                succs.setdefault(dst, set())
+
+            def bfs(src):
+                dist, frontier, level = {src: 0}, {src}, 0
+                while frontier:
+                    level += 1
+                    frontier = {w for v in frontier for w in succs[v] if w not in dist}
+                    dist.update(dict.fromkeys(frontier, level))
+                return dist
+
+            on_cycle = {v for v in succs if any(v in bfs(w) for w in succs[v])}
+            bad = sorted(v for v in succs if v is not DIAG and on_cycle & bfs(v).keys())
+            res = is_observable(lcn)
+            assert res.observable == (not bad)
+            if not bad:
+                assert res.witness is None
+                continue
+            unobservable += 1
+            w = res.witness
+            assert w.pair == bad[0] == w.path[0]
+            assert w.path[-1] == w.cycle_entry and w.cycle_entry in on_cycle
+            assert all(b in succs[a] for a, b in zip(w.path, w.path[1:]))
+            dist = bfs(w.pair)
+            assert len(w.path) - 1 == min(d for v, d in dist.items() if v in on_cycle)
+        assert 50 < unobservable < 300
+
 
 class TestExportDot:
     def test_fed_ring_dot(self):

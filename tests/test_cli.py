@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lcnsyn import synthesis
+from lcnsyn import analysis, cli, synthesis
 from lcnsyn.cli import main
 from lcnsyn.files import load_network
 
@@ -73,6 +73,24 @@ class TestCheckObservability:
     def test_tri_closed_loop_negative(self, capsys, fixtures_dir):
         code, _doc, _ = run_json(capsys, "check-observability", fixtures_dir / "tri32_cl.json")
         assert code == 3
+
+    def test_malformed_truth_table(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"N": 2, "M": 1, "Q": 1, "truth_table": {
+            "transition": [[5], [1]], "output": [1, 1]}}))
+        code, out, err = run(capsys, "check-observability", path)
+        assert code == 2 and out == ""
+        assert "transition(1, 1) = 5 outside [1, 2]" in err
+
+    def test_builds_the_pair_graph_once(self, capsys, fixtures_dir, monkeypatch):
+        calls = []
+        build = analysis.observability_graph
+        counted = lambda lcn: calls.append(lcn) or build(lcn)  # noqa: E731
+        monkeypatch.setattr(analysis, "observability_graph", counted)
+        monkeypatch.setattr(cli, "observability_graph", counted)
+        code, _doc, _ = run_json(capsys, "check-observability", fixtures_dir / "big84_cl_ones.json")
+        assert code == 3
+        assert len(calls) == 1
 
     def test_dot_dump(self, capsys, fixtures_dir, tmp_path):
         dot = tmp_path / "graph.dot"

@@ -74,6 +74,21 @@ class TestNetworkFiles:
                  "truth_table": {"transition": [[1]], "output": [1]}}
             )
 
+    @pytest.mark.parametrize("table, message", [
+        ({"transition": [[1, 2], [2]], "output": [1, 1]}, "2 transition rows of 2 entries"),
+        ({"transition": [[1, 2], [2, 1, 9]], "output": [1, 1]}, "2 transition rows"),
+        ({"transition": [[1, 2], [2, 1], [1, 1]], "output": [1, 1]}, "2 transition rows"),
+        ({"transition": [[1, 2], [2, 1]], "output": [1]}, "and 2 outputs"),
+        ({"transition": [[1, 2], [5, 1]], "output": [1, 1]}, "outside"),
+        ({"transition": [[1, 2], [2, "1"]], "output": [1, 1]}, "list of integer lists"),
+        ({"transition": {"1": [1, 2]}, "output": [1, 1]}, "list of integer lists"),
+        ({"transition": [[1, 2], [2, 1]], "output": [1, True]}, "output must be a list"),
+        ({"transition": [[1, 2], [2, 1]], "output": [1, 3]}, "outside"),
+    ])
+    def test_malformed_truth_table(self, table, message):
+        with pytest.raises(FileFormatError, match=message):
+            network_from_dict({"N": 2, "M": 2, "Q": 2, "truth_table": table})
+
     def test_short_l_reports_violation(self, fixtures_dir):
         with pytest.raises(FileFormatError) as exc_info:
             load_network(fixtures_dir / "bad_short_L.json")
