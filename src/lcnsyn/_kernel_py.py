@@ -21,51 +21,69 @@ values along ``members``. One iterative walker, ``candidates``, defines
 that order: both sweeps here and ``synthesis.enumerate_candidates``
 consume it. An assignment is returned as the tuple of successors
 indexed by state (position s-1 = successor of state s).
+
+A leaf is checked by ``_unsafe_pair`` over the list of equal-output
+pairs, which each sweep builds once. The check walks first a hint: the
+pair whose walk doomed the previous leaf. A walk depends only on the
+successors of the states it passes through, and consecutive leaves
+differ mostly in their last positions, so that pair usually dooms the
+next leaf too and the check ends after a few steps instead of a scan
+of every pair. The verdict still covers every pair, so the hint changes
+how soon an unsafe pair is found, never a result.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 FOUND = 0
 EXHAUSTED = 1
 CAP_REACHED = 2
 
 
-def _observable0(succ0, out0, n: int, status: bytearray) -> bool:
-    """Observability of the closed-loop map ``succ0`` (0-based successors).
+def _equal_output_pairs(out0) -> list[tuple[int, int]]:
+    """The 0-based state pairs ``(i, j)``, ``i < j``, with equal outputs,
+    in lexicographic order."""
+    n = len(out0)
+    return [(i, j) for i in range(n - 1) for j in range(i + 1, n) if out0[i] == out0[j]]
+
+
+def _unsafe_pair(succ0, out0, pairs, hint: int) -> int:
+    """Index in ``pairs`` of a pair that reaches a merge or a cycle under the
+    closed-loop map ``succ0`` (0-based successors), or -1 when none does,
+    that is when the closed loop is observable.
 
     Each equal-output pair has at most one outgoing edge, so the pair
-    graph is functional: walk it marking pairs safe (dead end, no cycle
-    ahead) or unsafe (reaches a merge or a cycle). ``status`` must be a
-    zeroed N*N scratch buffer; codes: 0 unknown, 1 on current walk,
-    2 safe, 3 unsafe.
+    graph is functional: walk it from ``pairs[hint]`` first, then from
+    every pair in order, marking pairs safe (dead end, no cycle ahead)
+    until a walk merges or closes a cycle. ``status`` codes: 0 unknown,
+    1 on the current walk, 2 safe.
     """
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if out0[i] != out0[j] or status[i * n + j]:
-                continue
-            path = []
-            ci, cj = i, j
-            while True:
-                idx = ci * n + cj
-                st = status[idx]
-                if st:
-                    verdict = 3 if st != 2 else 2  # revisit: walk cycle or known
-                    break
-                status[idx] = 1
-                path.append(idx)
-                a, b = succ0[ci], succ0[cj]
-                if a == b:
-                    verdict = 3  # pair merges: edge into the diagonal
-                    break
-                if out0[a] != out0[b]:
-                    verdict = 2  # successors distinguishable: dead end
-                    break
-                ci, cj = (a, b) if a < b else (b, a)
-            for idx in path:
-                status[idx] = verdict
-            if verdict == 3:
-                return False
-    return True
+    if not pairs:
+        return -1
+    n = len(out0)
+    status = bytearray(n * n)
+    for k in chain((hint,), range(len(pairs))):
+        ci, cj = pairs[k]
+        path = []
+        while True:
+            idx = ci * n + cj
+            st = status[idx]
+            if st == 1:
+                return k  # the walk closed a cycle
+            if st:
+                break  # known safe
+            status[idx] = 1
+            path.append(idx)
+            a, b = succ0[ci], succ0[cj]
+            if a == b:
+                return k  # pair merges: edge into the diagonal
+            if out0[a] != out0[b]:
+                break  # successors distinguishable: dead end
+            ci, cj = (a, b) if a < b else (b, a)
+        for idx in path:
+            status[idx] = 2
+    return -1
 
 
 def closed_loop_observable(succ, out) -> bool:
@@ -73,9 +91,8 @@ def closed_loop_observable(succ, out) -> bool:
 
     ``succ`` and ``out`` are 1-based per-state sequences of length N.
     """
-    n = len(succ)
-    succ0 = [s - 1 for s in succ]
-    return _observable0(succ0, list(out), n, bytearray(n * n))
+    out0 = list(out)
+    return _unsafe_pair([s - 1 for s in succ], out0, _equal_output_pairs(out0), 0) < 0
 
 
 def candidates(members, class_sizes, options_flat, option_offsets):
@@ -127,25 +144,29 @@ def sweep_first_observable(out, members, class_sizes, options_flat,
     or CAP_REACHED and assignment is the successful successor tuple
     (None unless FOUND).
     """
-    n = len(out)
     out0 = list(out)
-    checked = 0
+    pairs = _equal_output_pairs(out0)
+    checked = hint = 0
     for succ0 in candidates(members, class_sizes, options_flat, option_offsets):
         if 0 <= cap <= checked:
             return CAP_REACHED, checked, None
         checked += 1
-        if _observable0(succ0, out0, n, bytearray(n * n)):
+        hint = _unsafe_pair(succ0, out0, pairs, hint)
+        if hint < 0:
             return FOUND, checked, tuple(s + 1 for s in succ0)
     return EXHAUSTED, checked, None
 
 
 def sweep_count_observable(out, members, class_sizes, options_flat, option_offsets):
     """Evaluate every candidate; return ``(total, observable_count)``."""
-    n = len(out)
     out0 = list(out)
-    total = good = 0
+    pairs = _equal_output_pairs(out0)
+    total = good = hint = 0
     for succ0 in candidates(members, class_sizes, options_flat, option_offsets):
         total += 1
-        if _observable0(succ0, out0, n, bytearray(n * n)):
+        k = _unsafe_pair(succ0, out0, pairs, hint)
+        if k < 0:
             good += 1
+        else:
+            hint = k
     return total, good

@@ -58,11 +58,12 @@ def _obs_witness_doc(witness):
     }
 
 
-def _obs_witness_text(witness, graph) -> str:
+def _obs_witness_text(witness, lcn) -> str:
     names = [_vertex_text(v) for v in witness.path]
     entry = witness.cycle_entry
-    has_self_loop = any(s == entry and d == entry for s, d, _w in graph.edges)
-    if has_self_loop:
+    # DIAG always loops; a pair loops when some input maps it onto itself
+    if entry is DIAG or any({lcn.step(entry[0], u), lcn.step(entry[1], u)} == set(entry)
+                            for u in range(1, lcn.input_dim + 1)):
         names.append(_vertex_text(entry))
     return " -> ".join(names)
 
@@ -98,13 +99,11 @@ def cmd_check_observability(args) -> int:
         return EXIT_INPUT_ERROR
     result = is_observable(lcn)
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
-    text_witness = result.witness is not None and args.format == "text"
-    graph = observability_graph(lcn) if text_witness or args.dot else None
-    if text_witness:
-        doc["witness_path"] = _obs_witness_text(result.witness, graph)
+    if result.witness is not None and args.format == "text":
+        doc["witness_path"] = _obs_witness_text(result.witness, lcn)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(graph))
+            fh.write(export_dot(observability_graph(lcn)))
     _print_report(doc, args.format)
     return EXIT_OK if result.observable else EXIT_NEGATIVE
 

@@ -4,7 +4,9 @@ The candidate sweep dominates synthesis runtime, so its inner loops
 exist twice: a Cython extension (``_kernel_cy``) and a pure-Python twin
 (``_kernel_py``). The compiled one is picked automatically when the
 extension built; both expose the same functions with identical results
-and candidate order. ``benchmarks/bench_backends.py`` compares them.
+and candidate order. When both are available, the benchmark
+(``perfbench/run.py``) solves every network on each backend and
+counts any difference in status, count or witness as a failure.
 """
 
 from __future__ import annotations

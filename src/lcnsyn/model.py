@@ -146,6 +146,10 @@ def _as_table(table, keys, what: str) -> dict:
     missing = [k for k in keys if k not in got]
     if missing:
         raise MissingEntryError(f"{what} table is missing entries for {missing[:8]}")
+    domain = set(keys)
+    extra = [k for k in got if k not in domain]
+    if extra:
+        raise ValueError(f"{what} table has entries outside the domain: {extra[:8]}")
     return got
 
 

@@ -6,6 +6,8 @@ pair-graph edge sets, candidate bounds) are frozen in the tests
 alongside the independent oracles that recompute them.
 """
 
+import random
+
 from lcnsyn import Lcn, LogicalMatrix, StateFeedback, logical_identity
 
 # 4-state, 4-input; every state funnels toward state 1; not controllable.
@@ -46,3 +48,10 @@ ALL_REFERENCE_NETS = (
     FUNNEL44, RING42, RING42_OUT2, RING42_FB_OUT2, SINK42_OUT2,
     BIG84, BIG84_CL_ONES, BIG84_CL_MIX, TRI32, TRI32_CL,
 )
+
+
+def random_network(seed: int, n: int, m: int, q: int) -> Lcn:
+    """The benchmark's network generator: L drawn first, then H."""
+    rng = random.Random(seed)
+    return Lcn(n, m, q, LogicalMatrix(n, tuple(rng.randint(1, n) for _ in range(n * m))),
+               LogicalMatrix(q, tuple(rng.randint(1, q) for _ in range(n))))

@@ -88,9 +88,12 @@ class TestCheckObservability:
         counted = lambda lcn: calls.append(lcn) or build(lcn)  # noqa: E731
         monkeypatch.setattr(analysis, "observability_graph", counted)
         monkeypatch.setattr(cli, "observability_graph", counted)
-        code, _doc, _ = run_json(capsys, "check-observability", fixtures_dir / "big84_cl_ones.json")
-        assert code == 3
-        assert len(calls) == 1
+        for fmt in ("structured", "text"):
+            calls.clear()
+            code, _out, _ = run(capsys, "check-observability",
+                                fixtures_dir / "big84_cl_ones.json", "--format", fmt)
+            assert code == 3
+            assert len(calls) == 1
 
     def test_dot_dump(self, capsys, fixtures_dir, tmp_path):
         dot = tmp_path / "graph.dot"

@@ -1,5 +1,7 @@
 """Lcn model: accessors, validation, truth-table construction."""
 
+import re
+
 import pytest
 
 import nets
@@ -157,6 +159,17 @@ class TestFromTruthTable:
             from_truth_table(2, 2, 2, {(1, 1): 1, (1, 2): 1, (2, 1): 2}, {1: 1, 2: 2})
         with pytest.raises(MissingEntryError):
             from_truth_table(2, 1, 2, {(1, 1): 1, (2, 1): 2}, {1: 1})
+
+    @pytest.mark.parametrize("transition, output, extra", [
+        ([[2], [1], [2]], [1, 1], "[(3, 1)]"),                          # extra row
+        ([[2, 1], [1]], [1, 1], "[(1, 2)]"),                            # extra entry in a row
+        ({(1, 1): 2, (2, 1): 1, (5, 5): 1}, {1: 1, 2: 1}, "[(5, 5)]"),  # extra dict key
+        ([[2], [1]], [1, 1, 1], "[3]"),                                 # extra output
+        ([[2, 9], [1], [7]], [1, 1, 4], "[(1, 2), (3, 1)]"),
+    ])
+    def test_entries_outside_the_domain(self, transition, output, extra):
+        with pytest.raises(ValueError, match=re.escape(f"outside the domain: {extra}")):
+            from_truth_table(2, 1, 1, transition, output)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -256,6 +256,17 @@ class TestSynthesize:
         # the verdict is honest: brute force agrees
         assert not brute_force_closed_loop_synthesizable(LOCKED22)
 
+    def test_random_12_state_network_witness(self):
+        report = synthesize_observability(nets.random_network(0, 12, 4, 2))
+        assert report.verdict is Verdict.SYNTHESIZED
+        assert report.candidates_checked == 22455
+        assert report.witness.g == (3, 4, 4, 3, 4, 3, 1, 1, 4, 2, 4, 3)
+
+    def test_random_14_state_network_exhausted(self):
+        report = synthesize_observability(nets.random_network(146863, 14, 3, 5))
+        assert report.verdict is Verdict.NOT_SYNTHESIZABLE
+        assert report.candidates_checked == 129792
+
     def test_candidate_cap(self):
         report = synthesize_observability(nets.BIG84, max_candidates=1)
         assert report.verdict is Verdict.DECISION_INCOMPLETE
