@@ -1,30 +1,17 @@
-#!/usr/bin/env python3
-"""Compare the compiled and pure-Python sweep kernels.
+"""The seeded random network generator of the earlier backend benchmark.
 
-Three workloads:
-
-* the 8-state reference network's full candidate sweep (7038 candidates),
-* a 12-state random network's full sweep (~250k candidates),
-* a batch of standalone closed-loop observability checks at N = 64.
-
-Usage: python benchmarks/bench_backends.py [--repeat R]
+``perfbench/tests/test_perfbench.py`` checks that
+``perfbench/reference.random_network`` draws the same networks as this
+one, so the workloads named in ROADMAP.md as ``random_network(seed, N,
+M, Q)`` stay the same networks. The end-to-end benchmark is
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-import time
 
-from lcnsyn import Lcn, LogicalMatrix, kernel
-from lcnsyn.synthesis import _sweep_arguments, output_partition
-
-BIG84 = Lcn(
-    8, 4, 4,
-    LogicalMatrix(8, (1, 1, 2, 3, 2, 3, 1, 4, 3, 5, 7, 6, 6, 7, 8, 1,
-                      2, 3, 7, 6, 1, 2, 3, 4, 3, 4, 7, 8, 5, 6, 7, 4)),
-    LogicalMatrix(4, (1, 1, 1, 1, 1, 2, 2, 2)),
-)
+from lcnsyn import Lcn, LogicalMatrix
 
 
 def random_network(seed: int, n: int, m: int, q: int) -> Lcn:
@@ -34,72 +21,3 @@ def random_network(seed: int, n: int, m: int, q: int) -> Lcn:
         LogicalMatrix(n, tuple(rng.randint(1, n) for _ in range(n * m))),
         LogicalMatrix(q, tuple(rng.randint(1, q) for _ in range(n))),
     )
-
-
-def best_of(fn, repeat: int) -> float:
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-def bench_sweep(lcn: Lcn, label: str, repeat: int) -> None:
-    args = _sweep_arguments(lcn, output_partition(lcn))
-    results = {}
-    times = {}
-    for name in kernel.available_backends():
-        backend = kernel.get_backend(name)
-        times[name] = best_of(lambda: backend.sweep_count_observable(*args), repeat)
-        results[name] = backend.sweep_count_observable(*args)
-    assert len(set(results.values())) == 1, f"backends disagree on {label}: {results}"
-    total, good = next(iter(results.values()))
-    report(label + f" ({total} candidates, {good} observable)", times)
-
-
-def bench_closed_loop_checks(repeat: int, n: int = 64, batch: int = 20000) -> None:
-    rng = random.Random(7)
-    out = [rng.randint(1, 4) for _ in range(n)]
-    maps = [
-        [rng.randint(1, n) for _ in range(n)]
-        for _ in range(batch)
-    ]
-    times = {}
-    counts = {}
-    for name in kernel.available_backends():
-        backend = kernel.get_backend(name)
-
-        def run():
-            hits = 0
-            for succ in maps:
-                if backend.closed_loop_observable(succ, out):
-                    hits += 1
-            return hits
-
-        times[name] = best_of(run, repeat)
-        counts[name] = run()
-    assert len(set(counts.values())) == 1, f"backends disagree: {counts}"
-    report(f"{batch} closed-loop checks at N={n}", times)
-
-
-def report(label: str, times: dict[str, float]) -> None:
-    print(f"\n{label}")
-    base = times.get("python")
-    for name in sorted(times):
-        speedup = "" if base is None or name == "python" else f"  ({base / times[name]:.1f}x)"
-        print(f"  {name:>7}: {times[name] * 1000:9.2f} ms{speedup}")
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3, help="repeats per measurement")
-    args = parser.parse_args()
-    print(f"available backends: {', '.join(kernel.available_backends())}")
-    bench_sweep(BIG84, "8-state reference sweep", args.repeat)
-    bench_sweep(random_network(0, 12, 4, 2), "12-state random sweep", args.repeat)
-    bench_closed_loop_checks(args.repeat)
-
-
-if __name__ == "__main__":
-    main()

@@ -1,11 +1,6 @@
-"""Pure-Python evaluation kernels for closed-loop candidate sweeps.
+"""The sweep kernel: the hot inner loops of closed-loop candidate sweeps.
 
-These are the reference implementations of the hot inner loops; the
-compiled twin in ``_kernel_cy`` must produce bit-identical results
-(same candidate order, same counts). See ``kernel`` for selection.
-
-Call convention shared by both backends (everything 1-based, plain
-sequences of ints):
+Call convention (everything 1-based, plain sequences of ints):
 
 * ``out``      -- output index per state, length N.
 * ``members``  -- all N states in enumeration order: output classes in
@@ -101,8 +96,7 @@ def candidates(members, class_sizes, options_flat, option_offsets):
     Yields one 0-based successor list per candidate (indexed by state).
     The same list is yielded every time and changed in place when the
     walk resumes, so copy it to keep it. The walk keeps an option cursor
-    and a chosen value per position and one used-value row per class,
-    like the compiled ``_sweep``.
+    and a chosen value per position and one used-value row per class.
     """
     n = len(members)
     members0 = [m - 1 for m in members]

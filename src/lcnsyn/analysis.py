@@ -27,11 +27,11 @@ reach one. The least pair that reaches a cycle is the witness.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .model import Lcn
-from .stp import DenseMatrix
+from .stp import CELL_CAP, DenseMatrix, MatrixSizeError
 
 
 class _Diag:
@@ -193,10 +193,19 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
 
 
 def observability_graph(lcn: Lcn) -> ObservabilityGraph:
-    """Pair graph on equal-output state pairs, diagonal collapsed to DIAG."""
+    """Pair graph on equal-output state pairs, diagonal collapsed to DIAG.
+
+    Raises :class:`MatrixSizeError`, before building anything, when there
+    are more equal-output pairs than :data:`CELL_CAP`.
+    """
     n, m = lcn.state_dim, lcn.input_dim
     cols = lcn.L.col_indices
     out = [lcn.output(x) for x in range(1, n + 1)]
+    n_pairs = sum(c * (c - 1) // 2 for c in Counter(out).values())
+    if n_pairs > CELL_CAP:
+        raise MatrixSizeError(
+            f"pair graph of {n_pairs} equal-output pairs exceeds cap {CELL_CAP}"
+        )
     vertices = tuple(
         (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if out[i - 1] == out[j - 1]
     )

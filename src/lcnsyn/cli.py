@@ -17,6 +17,7 @@ from math import prod
 from . import files
 from .analysis import (
     DIAG,
+    _pair_name,
     export_dot,
     is_controllable,
     is_observable,
@@ -24,6 +25,7 @@ from .analysis import (
     transition_graph,
 )
 from .feedback import apply_feedback
+from .stp import MatrixSizeError
 from .synthesis import Verdict, _bounds, output_partition, synthesize_observability
 
 EXIT_OK = 0
@@ -34,10 +36,6 @@ EXIT_INCOMPLETE = 4
 
 def _vertex_doc(v):
     return "DIAG" if v is DIAG else list(v)
-
-
-def _vertex_text(v) -> str:
-    return "DIAG" if v is DIAG else "".join(str(x) for x in v) if max(v) <= 9 else f"{v[0]}-{v[1]}"
 
 
 def _print_report(doc: dict, fmt: str) -> None:
@@ -59,13 +57,13 @@ def _obs_witness_doc(witness):
 
 
 def _obs_witness_text(witness, lcn) -> str:
-    names = [_vertex_text(v) for v in witness.path]
+    path = list(witness.path)
     entry = witness.cycle_entry
     # DIAG always loops; a pair loops when some input maps it onto itself
     if entry is DIAG or any({lcn.step(entry[0], u), lcn.step(entry[1], u)} == set(entry)
                             for u in range(1, lcn.input_dim + 1)):
-        names.append(_vertex_text(entry))
-    return " -> ".join(names)
+        path.append(entry)
+    return " -> ".join(_pair_name(v, v is not DIAG and max(v) > 9) for v in path)
 
 
 def _load_network(path):
@@ -151,10 +149,10 @@ def cmd_synthesize(args) -> int:
         },
         "zero_choice_class": report.zero_choice_class,
     }
+    if report.verdict is Verdict.SYNTHESIZED and args.out:
+        files.save_controller(report.witness, args.out)
     _print_report(doc, args.format)
     if report.verdict is Verdict.SYNTHESIZED:
-        if args.out:
-            files.save_controller(report.witness, args.out)
         return EXIT_OK
     if report.verdict is Verdict.DECISION_INCOMPLETE:
         return EXIT_INCOMPLETE
@@ -230,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, MatrixSizeError) as exc:  # unwritable output, oversized input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from . import _kernel_py, kernel
+from . import _kernel_py
 from .analysis import is_controllable, is_observable
 from .feedback import ClosedLoopController
 from .model import Lcn
@@ -242,10 +242,13 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     observable. Exhausting them proves no state feedback of any size can
     help. A candidate cap (``max_candidates``) turns exhaustion into
     DECISION_INCOMPLETE instead of guessing; a negative cap raises
-    ValueError.
+    ValueError. ``backend`` names the sweep kernel and must be "auto" or
+    "python", the only one there is.
     """
     if max_candidates is not None and max_candidates < 0:
         raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
+    if backend not in ("auto", "python"):
+        raise ValueError(f"unknown backend {backend!r}; expected auto or python")
     part = output_partition(lcn)
     naive, nums = _bounds(lcn, part)
     refined = prod(nums)
@@ -267,15 +270,14 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
                                candidates_checked=0, pruned_by=pruned,
                                obstruction=obstruction, zero_choice_class=zero_class)
 
-    impl = kernel.get_backend(backend)
     cap = -1 if max_candidates is None else max_candidates
-    status, checked, assignment = impl.sweep_first_observable(
+    status, checked, assignment = _kernel_py.sweep_first_observable(
         *_sweep_arguments(lcn, part), cap
     )
-    if status == kernel.FOUND:
+    if status == _kernel_py.FOUND:
         return SynthesisReport(Verdict.SYNTHESIZED, controller_for_map(lcn, assignment),
                                naive, refined, nums, candidates_checked=checked)
-    if status == kernel.CAP_REACHED:
+    if status == _kernel_py.CAP_REACHED:
         return SynthesisReport(Verdict.DECISION_INCOMPLETE, None, naive, refined, nums,
                                candidates_checked=checked)
     return SynthesisReport(Verdict.NOT_SYNTHESIZABLE, None, naive, refined, nums,

@@ -12,10 +12,12 @@ from oracles import (
 )
 
 from lcnsyn import (
+    CELL_CAP,
     DIAG,
     DenseMatrix,
     Lcn,
     LogicalMatrix,
+    MatrixSizeError,
     expand,
     export_dot,
     is_controllable,
@@ -133,6 +135,15 @@ class TestIsControllable:
 
 
 class TestObservabilityGraph:
+    def test_refuses_more_pairs_than_the_cell_cap(self):
+        # one output class of 1449 states: 1449 * 1448 / 2 = 1 049 076 pairs
+        n = 1449
+        lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
+        assert n * (n - 1) // 2 > CELL_CAP
+        for decide in (observability_graph, is_observable):
+            with pytest.raises(MatrixSizeError, match="1049076 equal-output pairs"):
+                decide(lcn)
+
     def test_ones_closed_loop_graph(self):
         g = observability_graph(nets.BIG84_CL_ONES)
         assert g.vertices == BIG_PAIRS

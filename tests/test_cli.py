@@ -216,3 +216,32 @@ def test_exit_codes_are_deterministic(capsys, fixtures_dir):
     for _ in range(3):
         code, _doc, _ = run_json(capsys, "synthesize", fixtures_dir / "sink42_out2.json")
         assert code == 3
+
+
+@pytest.mark.parametrize("command, inputs, flag", [
+    ("synthesize", ["big84.json"], "--out"),
+    ("apply-feedback", ["big84.json", "ctrl_big84_mix.json"], "--out"),
+    ("check-observability", ["big84_cl_ones.json"], "--dot"),
+    ("export-graph", ["ring42.json"], "--out"),
+], ids=["synthesize", "apply-feedback", "check-observability", "export-graph"])
+def test_unwritable_output_is_an_input_error(capsys, fixtures_dir, tmp_path, command, inputs,
+                                             flag):
+    missing = tmp_path / "no_such_dir"
+    code, out, err = run(capsys, command, *(fixtures_dir / f for f in inputs), flag,
+                         missing / "out")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "no_such_dir" in err
+
+
+@pytest.mark.parametrize("argv", [["check-observability"],
+                                  ["export-graph", "--graph", "observability"]],
+                         ids=lambda argv: argv[0])
+def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
+    # 1449 states with one output have 1 049 076 equal-output pairs, past CELL_CAP
+    n = 1449
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": list(range(1, n + 1)),
+                                "H": [1] * n}))
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err

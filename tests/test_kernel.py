@@ -1,11 +1,10 @@
-"""Sweep kernels: the candidate walk, and backend parity.
+"""The sweep kernel: the candidate walk, the leaf check and the sweeps.
 
-The pure-Python kernel is checked everywhere against independent
-references (a brute-force product, the public enumeration, the pair
-graph analysis); only the Python-vs-Cython comparisons need the
-compiled extension.
+The kernel is checked against independent references: a brute-force
+product, the public enumeration and the pair graph analysis.
 """
 
+import importlib
 from itertools import combinations, product
 
 import pytest
@@ -13,20 +12,20 @@ import pytest
 import nets
 from conftest import random_lcn
 
-from lcnsyn import apply_feedback, candidate_bounds, enumerate_candidates, is_observable
-from lcnsyn import kernel
+from lcnsyn import (
+    Lcn,
+    LogicalMatrix,
+    apply_feedback,
+    candidate_bounds,
+    enumerate_candidates,
+    is_observable,
+    synthesize_observability,
+)
+from lcnsyn import _kernel_py, kernel
 from lcnsyn.synthesis import _sweep_arguments, output_partition
 
-needs_cython = pytest.mark.skipif(
-    "cython" not in kernel.available_backends(),
-    reason="compiled kernel unavailable",
-)
 
-PY = kernel.get_backend("python")
-CY = kernel.get_backend("cython") if "cython" in kernel.available_backends() else None
-
-
-@pytest.fixture(params=["python", pytest.param("cython", marks=needs_cython)])
+@pytest.fixture(params=kernel.available_backends())
 def backend(request):
     return kernel.get_backend(request.param)
 
@@ -84,13 +83,14 @@ class TestClosedLoopObservable:
             succ, out = closed_loop_arrays(lcn)
             assert backend.closed_loop_observable(succ, out) == is_observable(lcn).observable
 
-    @needs_cython
-    def test_large_state_space(self, rng):
+    def test_large_state_space_matches_graph_analysis(self, rng):
+        # the only closed loops here whose pair walks run long
+        n, q = 200, 3
         for _ in range(5):
-            n = 200
             succ = [rng.randint(1, n) for _ in range(n)]
-            out = [rng.randint(1, 3) for _ in range(n)]
-            assert PY.closed_loop_observable(succ, out) == CY.closed_loop_observable(succ, out)
+            out = [rng.randint(1, q) for _ in range(n)]
+            lcn = Lcn(n, 1, q, LogicalMatrix(n, tuple(succ)), LogicalMatrix(q, tuple(out)))
+            assert _kernel_py.closed_loop_observable(succ, out) == is_observable(lcn).observable
 
 
 class TestCandidateWalk:
@@ -98,16 +98,16 @@ class TestCandidateWalk:
         for _ in range(60):
             lcn = random_lcn(rng, n_max=5, m_max=3, q_max=2)
             _out, *walk = _sweep_arguments(lcn, output_partition(lcn))
-            walked = [list(succ0) for succ0 in PY.candidates(*walk)]
+            walked = [list(succ0) for succ0 in _kernel_py.candidates(*walk)]
             assert walked == list(product_order(*walk))
 
     def test_big_network_leaf_count(self):
         _out, *walk = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        assert sum(1 for _ in PY.candidates(*walk)) == 7038
+        assert sum(1 for _ in _kernel_py.candidates(*walk)) == 7038
 
     def test_zero_choice_class_yields_nothing(self):
         _out, *walk = _sweep_arguments(nets.SINK42_OUT2, output_partition(nets.SINK42_OUT2))
-        assert list(PY.candidates(*walk)) == []
+        assert list(_kernel_py.candidates(*walk)) == []
 
 
 class TestSweep:
@@ -153,24 +153,31 @@ class TestSweep:
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
-@needs_cython
-class TestSweepParity:
-    def test_big_network_first_hit(self):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        assert PY.sweep_first_observable(*args, -1) == CY.sweep_first_observable(*args, -1)
+class TestBenchmarkSurface:
+    """What ``perfbench/run.py`` and ``perfbench/spantrace.py`` use of the
+    package. The benchmark's own tests are slow, so this pins it here."""
 
-    def test_big_network_full_count(self):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        assert PY.sweep_count_observable(*args) == CY.sweep_count_observable(*args)
+    def test_backend_names(self):
+        assert kernel.DEFAULT_BACKEND == "python"
+        assert kernel.available_backends() == ("python",)
+        assert kernel.get_backend("auto") is kernel.get_backend("python") is _kernel_py
 
-    def test_random_networks_all_results_identical(self, rng):
-        for _ in range(60):
-            lcn = random_lcn(rng)
-            args = _sweep_arguments(lcn, output_partition(lcn))
-            assert PY.sweep_first_observable(*args, -1) == CY.sweep_first_observable(*args, -1)
-            assert PY.sweep_count_observable(*args) == CY.sweep_count_observable(*args)
+    def test_backend_keyword(self):
+        reports = {b: synthesize_observability(nets.BIG84, backend=b) for b in ("auto", "python")}
+        assert reports["auto"] == reports["python"]
+        assert reports["auto"].candidates_checked == 829
 
-    def test_cap_parity(self):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        for cap in (0, 1, 2, 5):
-            assert PY.sweep_first_observable(*args, cap) == CY.sweep_first_observable(*args, cap)
+    # any name but "auto" and "python" is refused, the removed compiled backend's too
+    @pytest.mark.parametrize("name", ["compiled", "c", "", "Python"])
+    def test_unknown_backend_is_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown backend"):
+            synthesize_observability(nets.BIG84, backend=name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            kernel.get_backend(name)
+
+    @pytest.mark.parametrize("module, name", [
+        ("lcnsyn._kernel_py", "sweep_first_observable"),
+        ("lcnsyn.synthesis", "injective_choice_count"),
+    ])
+    def test_traced_functions_live_where_the_tracer_looks(self, module, name):
+        assert callable(getattr(importlib.import_module(module), name))

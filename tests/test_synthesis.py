@@ -25,7 +25,7 @@ from lcnsyn import (
     structural_obstruction,
     synthesize_observability,
 )
-from lcnsyn import synthesis
+from lcnsyn import kernel, synthesis
 
 # Two equal-output states each locked onto itself: candidates exist but
 # their shared pair self-loops forever, so synthesis must still fail.
@@ -308,12 +308,8 @@ class TestSynthesize:
                     assert not is_observable(fed)
                     found += 1
 
-    @pytest.mark.parametrize("backend", ["python", "cython"])
+    @pytest.mark.parametrize("backend", kernel.available_backends())
     def test_verdict_matches_closed_loop_brute_force(self, rng, backend):
-        from lcnsyn import kernel
-
-        if backend not in kernel.available_backends():
-            pytest.skip("compiled kernel unavailable")
         for _ in range(60):
             lcn = random_lcn(rng)
             report = synthesize_observability(lcn, backend=backend)
