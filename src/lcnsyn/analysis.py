@@ -28,8 +28,8 @@ reach one. The least pair that reaches a cycle is the witness.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
+from ._value import Value
 from .model import Lcn
 from .stp import CELL_CAP, DenseMatrix, MatrixSizeError
 
@@ -53,8 +53,7 @@ def _vertex_key(v):
     return (1,) if v is DIAG else (0, v)
 
 
-@dataclass(frozen=True)
-class StateTransitionGraph:
+class StateTransitionGraph(Value):
     """State transition graph as an N x N count matrix.
 
     ``adjacency.entry(i, j)`` is the number of inputs driving state j to
@@ -62,40 +61,92 @@ class StateTransitionGraph:
     equal the input count M.
     """
 
-    n_vertices: int
-    adjacency: DenseMatrix
+    __slots__ = ("n_vertices", "adjacency")
+
+    def __init__(self, n_vertices: int, adjacency: DenseMatrix) -> None:
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "adjacency", adjacency)
 
 
-@dataclass(frozen=True)
-class ObservabilityGraph:
-    vertices: tuple[tuple[int, int], ...]  # non-diagonal pairs (i, j), i < j
-    edges: tuple[tuple[Vertex, Vertex, tuple[int, ...]], ...]
-    n_inputs: int
+class ObservabilityGraph(Value):
+    """``vertices`` are the non-diagonal pairs (i, j), i < j."""
+
+    __slots__ = ("vertices", "edges", "n_inputs")
+
+    def __init__(self, vertices: tuple[tuple[int, int], ...],
+                 edges: tuple[tuple[Vertex, Vertex, tuple[int, ...]], ...],
+                 n_inputs: int) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_inputs", n_inputs)
+
+    def _decide(self) -> ObservabilityResult:
+        """The verdict and witness of :func:`is_observable`, read from
+        this graph."""
+        verts = [*self.vertices, DIAG]
+        pos = {v: k for k, v in enumerate(verts)}
+        succs: list[list[int]] = [[] for _ in verts]
+        for src, dst, _w in self.edges:  # sorted edges: each list ascends
+            succs[pos[src]].append(pos[dst])
+        cyclic = [False] * len(verts)
+        bad = [False] * len(verts)  # reaches a cyclic vertex
+        for comp in _strong_components(succs):
+            on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
+            reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
+            for v in comp:
+                cyclic[v], bad[v] = on_cycle, reaches
+        start = bad.index(True)
+        if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
+            return ObservabilityResult(True, None)
+        # shortest path from the least bad pair to a cyclic vertex
+        parent: dict = {start: None}
+        queue = deque([start])
+        while not cyclic[v := queue.popleft()]:
+            for w in succs[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        path = []
+        while v is not None:
+            path.append(verts[v])
+            v = parent[v]
+        path.reverse()
+        return ObservabilityResult(False, ObservabilityWitness(path[0], tuple(path), path[-1]))
 
 
-@dataclass(frozen=True)
-class ControllabilityResult:
-    controllable: bool
-    #: On failure, a (source, target) state pair with no path source -> target.
-    witness: tuple[int, int] | None
+class ControllabilityResult(Value):
+    """On failure, ``witness`` is a (source, target) state pair with no
+    path source -> target."""
+
+    __slots__ = ("controllable", "witness")
+
+    def __init__(self, controllable: bool, witness: tuple[int, int] | None) -> None:
+        object.__setattr__(self, "controllable", controllable)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.controllable
 
 
-@dataclass(frozen=True)
-class ObservabilityWitness:
-    """A pair that cannot be told apart: it reaches a cycle."""
+class ObservabilityWitness(Value):
+    """A pair that cannot be told apart: it reaches a cycle. ``path`` is
+    a shortest path from ``pair`` to ``cycle_entry``."""
 
-    pair: tuple[int, int]
-    path: tuple[Vertex, ...]  # shortest path from ``pair`` to ``cycle_entry``
-    cycle_entry: Vertex
+    __slots__ = ("pair", "path", "cycle_entry")
+
+    def __init__(self, pair: tuple[int, int], path: tuple[Vertex, ...],
+                 cycle_entry: Vertex) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "cycle_entry", cycle_entry)
 
 
-@dataclass(frozen=True)
-class ObservabilityResult:
-    observable: bool
-    witness: ObservabilityWitness | None
+class ObservabilityResult(Value):
+    __slots__ = ("observable", "witness")
+
+    def __init__(self, observable: bool, witness: ObservabilityWitness | None) -> None:
+        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.observable
@@ -192,6 +243,16 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
     raise AssertionError("unreachable: >1 SCC implies a failing pair")
 
 
+def _check_pair_count(class_sizes) -> None:
+    """Raise :class:`MatrixSizeError` when output classes of these sizes
+    have more equal-output pairs than :data:`CELL_CAP`."""
+    n_pairs = sum(c * (c - 1) // 2 for c in class_sizes)
+    if n_pairs > CELL_CAP:
+        raise MatrixSizeError(
+            f"pair graph of {n_pairs} equal-output pairs exceeds cap {CELL_CAP}"
+        )
+
+
 def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     """Pair graph on equal-output state pairs, diagonal collapsed to DIAG.
 
@@ -201,11 +262,7 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     n, m = lcn.state_dim, lcn.input_dim
     cols = lcn.L.col_indices
     out = [lcn.output(x) for x in range(1, n + 1)]
-    n_pairs = sum(c * (c - 1) // 2 for c in Counter(out).values())
-    if n_pairs > CELL_CAP:
-        raise MatrixSizeError(
-            f"pair graph of {n_pairs} equal-output pairs exceeds cap {CELL_CAP}"
-        )
+    _check_pair_count(Counter(out).values())
     vertices = tuple(
         (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if out[i - 1] == out[j - 1]
     )
@@ -231,36 +288,7 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     lexicographically) together with its shortest path to a cyclic
     vertex; BFS ties are broken by vertex order, DIAG last.
     """
-    graph = observability_graph(lcn)
-    verts = [*graph.vertices, DIAG]
-    pos = {v: k for k, v in enumerate(verts)}
-    succs: list[list[int]] = [[] for _ in verts]
-    for src, dst, _w in graph.edges:  # sorted edges: each list ascends
-        succs[pos[src]].append(pos[dst])
-    cyclic = [False] * len(verts)
-    bad = [False] * len(verts)  # reaches a cyclic vertex
-    for comp in _strong_components(succs):
-        on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
-        reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
-        for v in comp:
-            cyclic[v], bad[v] = on_cycle, reaches
-    start = bad.index(True)
-    if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
-        return ObservabilityResult(True, None)
-    # shortest path from the least bad pair to a cyclic vertex
-    parent: dict = {start: None}
-    queue = deque([start])
-    while not cyclic[v := queue.popleft()]:
-        for w in succs[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    path = []
-    while v is not None:
-        path.append(verts[v])
-        v = parent[v]
-    path.reverse()
-    return ObservabilityResult(False, ObservabilityWitness(path[0], tuple(path), path[-1]))
+    return observability_graph(lcn)._decide()
 
 
 def _pair_name(v: Vertex, wide: bool) -> str:

@@ -20,7 +20,6 @@ from .analysis import (
     _pair_name,
     export_dot,
     is_controllable,
-    is_observable,
     observability_graph,
     transition_graph,
 )
@@ -95,13 +94,14 @@ def cmd_check_observability(args) -> int:
     lcn = _load_network(args.network)
     if lcn is None:
         return EXIT_INPUT_ERROR
-    result = is_observable(lcn)
+    graph = observability_graph(lcn)  # one pair graph for the verdict and the DOT text
+    result = graph._decide()
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
     if result.witness is not None and args.format == "text":
         doc["witness_path"] = _obs_witness_text(result.witness, lcn)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(observability_graph(lcn)))
+            fh.write(export_dot(graph))
     _print_report(doc, args.format)
     return EXIT_OK if result.observable else EXIT_NEGATIVE
 

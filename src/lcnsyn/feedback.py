@@ -14,21 +14,19 @@ it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .analysis import transition_graph
 from .model import Lcn, StateFeedback
 from .stp import DenseMatrix, LogicalMatrix
 
 
-@dataclass(frozen=True)
-class ClosedLoopController:
+class ClosedLoopController(Value):
     """``u(t) = g(x(t))``: one input index per state, no external input."""
 
-    g: tuple[int, ...]
+    __slots__ = ("g",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g", tuple(self.g))
+    def __init__(self, g: tuple[int, ...]) -> None:
+        object.__setattr__(self, "g", tuple(g))
 
     def as_state_feedback(self, input_dim: int) -> StateFeedback:
         return StateFeedback(len(self.g), input_dim, 1, LogicalMatrix(input_dim, self.g))

@@ -17,9 +17,9 @@ logical formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._value import Value
 from .stp import LogicalMatrix
 
 
@@ -27,25 +27,26 @@ class MissingEntryError(ValueError):
     """A truth table does not cover its full domain."""
 
 
-@dataclass(frozen=True)
-class Lcn:
+class Lcn(Value):
     """An LCN in algebraic form. Immutable; construction does not
     validate -- run :func:`validate` to collect violations."""
 
-    state_dim: int
-    input_dim: int
-    output_dim: int
-    L: LogicalMatrix
-    H: LogicalMatrix
-    state_factors: tuple[int, ...] | None = None
-    input_factors: tuple[int, ...] | None = None
-    output_factors: tuple[int, ...] | None = None
+    __slots__ = ("state_dim", "input_dim", "output_dim", "L", "H",
+                 "state_factors", "input_factors", "output_factors")
 
-    def __post_init__(self) -> None:
-        for name in ("state_factors", "input_factors", "output_factors"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(val))
+    def __init__(self, state_dim: int, input_dim: int, output_dim: int,
+                 L: LogicalMatrix, H: LogicalMatrix,
+                 state_factors: tuple[int, ...] | None = None,
+                 input_factors: tuple[int, ...] | None = None,
+                 output_factors: tuple[int, ...] | None = None) -> None:
+        object.__setattr__(self, "state_dim", state_dim)
+        object.__setattr__(self, "input_dim", input_dim)
+        object.__setattr__(self, "output_dim", output_dim)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "H", H)
+        for name, factors in (("state_factors", state_factors), ("input_factors", input_factors),
+                              ("output_factors", output_factors)):
+            object.__setattr__(self, name, None if factors is None else tuple(factors))
 
     def block(self, i: int) -> LogicalMatrix:
         """The i-th block ``L_i`` (N x M): columns of ``L`` for state i."""
@@ -70,8 +71,7 @@ class Lcn:
         return self.H.col_indices[x - 1]
 
 
-@dataclass(frozen=True)
-class StateFeedback:
+class StateFeedback(Value):
     """A state-feedback controller ``u = G x v`` with P new inputs.
 
     ``G`` has M rows and N*P columns, state-major: block ``G_i`` (M x P)
@@ -79,10 +79,14 @@ class StateFeedback:
     case (no external input left).
     """
 
-    state_dim: int
-    input_dim: int
-    new_input_dim: int
-    G: LogicalMatrix
+    __slots__ = ("state_dim", "input_dim", "new_input_dim", "G")
+
+    def __init__(self, state_dim: int, input_dim: int, new_input_dim: int,
+                 G: LogicalMatrix) -> None:
+        object.__setattr__(self, "state_dim", state_dim)
+        object.__setattr__(self, "input_dim", input_dim)
+        object.__setattr__(self, "new_input_dim", new_input_dim)
+        object.__setattr__(self, "G", G)
 
     def block(self, i: int) -> LogicalMatrix:
         n, p = self.state_dim, self.new_input_dim

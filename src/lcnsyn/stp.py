@@ -24,8 +24,9 @@ exist mainly to validate the compressed fast paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+
+from ._value import Value
 
 #: Allocation guard: operations refuse to build a matrix with more cells
 #: than this. Keeps runaway Kronecker/STP dimensions from exhausting
@@ -48,25 +49,24 @@ def _check_cells(rows: int, cols: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
+class DenseMatrix(Value):
     """Row-major matrix of nonnegative integers."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if any(e < 0 for e in self.entries):
+        if any(e < 0 for e in entries):
             raise ValueError("entries must be nonnegative integers")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows) -> DenseMatrix:
@@ -95,8 +95,7 @@ class DenseMatrix:
         return DenseMatrix(c, r, tuple(e[i * c + j] for j in range(c) for i in range(r)))
 
 
-@dataclass(frozen=True)
-class LogicalMatrix:
+class LogicalMatrix(Value):
     """``delta_rows[col_indices]``: one 1-based row index per column.
 
     Construction does not range-check the indices (model validation
@@ -104,13 +103,13 @@ class LogicalMatrix:
     :func:`expand` and the algebra routines require ``is_valid()``.
     """
 
-    rows: int
-    col_indices: tuple[int, ...]
+    __slots__ = ("rows", "col_indices")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1:
+    def __init__(self, rows: int, col_indices: tuple[int, ...]) -> None:
+        if rows < 1:
             raise ValueError("row dimension must be positive")
-        object.__setattr__(self, "col_indices", tuple(self.col_indices))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "col_indices", tuple(col_indices))
 
     @property
     def cols(self) -> int:

@@ -31,35 +31,39 @@ feedback may still destroy) and "never synthesizable".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
 from math import prod
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from . import _kernel_py
-from .analysis import is_controllable, is_observable
+from ._value import Value
+from .analysis import _check_pair_count, is_controllable, is_observable
 from .feedback import ClosedLoopController
 from .model import Lcn
 
 
-@dataclass(frozen=True)
-class OutputClass:
+class OutputClass(Value):
     """States sharing one output value, ascending."""
 
-    output_index: int
-    members: tuple[int, ...]
+    __slots__ = ("output_index", "members")
+
+    def __init__(self, output_index: int, members: tuple[int, ...]) -> None:
+        object.__setattr__(self, "output_index", output_index)
+        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class OutputClassPartition:
+class OutputClassPartition(Value):
     """Partition of the state set by output value, classes in ascending
     output order."""
 
-    classes: tuple[OutputClass, ...]
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: tuple[OutputClass, ...]) -> None:
+        object.__setattr__(self, "classes", classes)
 
 
 class Verdict(enum.Enum):
@@ -75,8 +79,7 @@ class ControllabilityVerdict(enum.Enum):
     NEVER_SYNTHESIZABLE = "NEVER_SYNTHESIZABLE"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Value):
     """Two equal-output states whose blocks rule out synthesis outright.
 
     kind "constant_blocks": both blocks are the same constant map onto
@@ -85,27 +88,35 @@ class Obstruction:
     forever).
     """
 
-    kind: str
-    j: int
-    k: int
-    target: int | None = None
+    __slots__ = ("kind", "j", "k", "target")
+
+    def __init__(self, kind: str, j: int, k: int, target: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class SynthesisReport:
-    verdict: Verdict
-    witness: ClosedLoopController | None
-    naive_bound: int
-    refined_bound: int
-    num_factors: tuple[int, ...]
-    candidates_checked: int
-    pruned_by: Mapping[str, int] = field(default_factory=dict)
-    already_observable: bool = False
-    obstruction: Obstruction | None = None
-    zero_choice_class: int | None = None
+class SynthesisReport(Value):
+    __slots__ = ("verdict", "witness", "naive_bound", "refined_bound", "num_factors",
+                 "candidates_checked", "pruned_by", "already_observable", "obstruction",
+                 "zero_choice_class")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pruned_by", MappingProxyType(dict(self.pruned_by)))
+    def __init__(self, verdict: Verdict, witness: ClosedLoopController | None,
+                 naive_bound: int, refined_bound: int, num_factors: tuple[int, ...],
+                 candidates_checked: int, pruned_by: Mapping[str, int] = MappingProxyType({}),
+                 already_observable: bool = False, obstruction: Obstruction | None = None,
+                 zero_choice_class: int | None = None) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "naive_bound", naive_bound)
+        object.__setattr__(self, "refined_bound", refined_bound)
+        object.__setattr__(self, "num_factors", num_factors)
+        object.__setattr__(self, "candidates_checked", candidates_checked)
+        object.__setattr__(self, "pruned_by", MappingProxyType(dict(pruned_by)))
+        object.__setattr__(self, "already_observable", already_observable)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "zero_choice_class", zero_choice_class)
 
 
 def output_partition(lcn: Lcn) -> OutputClassPartition:
@@ -250,6 +261,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     if backend not in ("auto", "python"):
         raise ValueError(f"unknown backend {backend!r}; expected auto or python")
     part = output_partition(lcn)
+    _check_pair_count(cls.size for cls in part.classes)  # before any counting
     naive, nums = _bounds(lcn, part)
     refined = prod(nums)
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report schemas, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +86,7 @@ class TestCheckObservability:
         assert code == 2 and out == ""
         assert "transition(1, 1) = 5 outside [1, 2]" in err
 
-    def test_builds_the_pair_graph_once(self, capsys, fixtures_dir, monkeypatch):
+    def test_builds_the_pair_graph_once(self, capsys, fixtures_dir, monkeypatch, tmp_path):
         calls = []
         build = analysis.observability_graph
         counted = lambda lcn: calls.append(lcn) or build(lcn)  # noqa: E731
@@ -94,6 +98,13 @@ class TestCheckObservability:
                                 fixtures_dir / "big84_cl_ones.json", "--format", fmt)
             assert code == 3
             assert len(calls) == 1
+        calls.clear()
+        dot = tmp_path / "graph.dot"
+        code, _out, _ = run(capsys, "check-observability", fixtures_dir / "big84_cl_ones.json",
+                            "--dot", dot)
+        assert code == 3
+        assert len(calls) == 1
+        assert dot.read_text() == analysis.export_dot(build(nets.BIG84_CL_ONES))
 
     def test_dot_dump(self, capsys, fixtures_dir, tmp_path):
         dot = tmp_path / "graph.dot"
@@ -234,7 +245,8 @@ def test_unwritable_output_is_an_input_error(capsys, fixtures_dir, tmp_path, com
 
 
 @pytest.mark.parametrize("argv", [["check-observability"],
-                                  ["export-graph", "--graph", "observability"]],
+                                  ["export-graph", "--graph", "observability"],
+                                  ["synthesize"]],
                          ids=lambda argv: argv[0])
 def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     # 1449 states with one output have 1 049 076 equal-output pairs, past CELL_CAP
@@ -245,3 +257,13 @@ def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds cap" in err
+
+
+def test_import_loads_no_dataclass_or_typing_machinery():
+    # -S keeps the interpreter's site hook from preloading typing
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
+    code = f"import sys, lcnsyn.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"

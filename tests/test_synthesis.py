@@ -13,6 +13,7 @@ from lcnsyn import (
     ControllabilityVerdict,
     Lcn,
     LogicalMatrix,
+    MatrixSizeError,
     Verdict,
     apply_feedback,
     candidate_bounds,
@@ -286,6 +287,17 @@ class TestSynthesize:
                             lambda lcn, part, i: calls.append(i) or count(lcn, part, i))
         func(nets.BIG84)
         assert calls == [1, 2]
+
+    def test_oversized_pair_graph_is_refused_before_counting(self, monkeypatch):
+        # one output class of 1449 states: 1 049 076 pairs, past CELL_CAP
+        n = 1449
+        lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
+        calls = []
+        monkeypatch.setattr(synthesis, "injective_choice_count",
+                            lambda lcn, part, i: calls.append(i))
+        with pytest.raises(MatrixSizeError, match="1049076 equal-output pairs"):
+            synthesize_observability(lcn)
+        assert calls == []
 
     def test_merging_equal_output_states_is_always_unobservable(self, rng):
         # the fact behind within-class injectivity: g mapping two
