@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .feedback import apply_feedback
 from .stp import MatrixSizeError
-from .synthesis import Verdict, _bounds, output_partition, synthesize_observability
+from .synthesis import Verdict, _Problem, synthesize_observability
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -163,8 +163,9 @@ def cmd_bounds(args) -> int:
     lcn = _load_network(args.network)
     if lcn is None:
         return EXIT_INPUT_ERROR
-    naive, nums = _bounds(lcn, output_partition(lcn))
-    _print_report({"naive": naive, "refined": prod(nums), "num_factors": list(nums)},
+    problem = _Problem(lcn)
+    nums = problem.class_counts()
+    _print_report({"naive": problem.naive, "refined": prod(nums), "num_factors": list(nums)},
                   args.format)
     return EXIT_OK
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Mapping
+from itertools import combinations
 from math import prod
 from types import MappingProxyType
 
@@ -40,6 +41,7 @@ from ._value import Value
 from .analysis import _check_pair_count, is_controllable, is_observable
 from .feedback import ClosedLoopController
 from .model import Lcn
+from .stp import MatrixSizeError
 
 
 class OutputClass(Value):
@@ -179,37 +181,58 @@ def injective_choice_count(lcn: Lcn, partition: OutputClassPartition, i: int) ->
     return count(0)
 
 
-def _bounds(lcn: Lcn, partition: OutputClassPartition) -> tuple[int, tuple[int, ...]]:
-    """Naive bound and the per-class injective choice counts (whose
-    product is the refined bound), counting each class once."""
-    naive = prod(len(_successor_options(lcn, x)) for x in range(1, lcn.state_dim + 1))
-    nums = tuple(
-        injective_choice_count(lcn, partition, i)
-        for i in range(1, len(partition.classes) + 1)
-    )
-    return naive, nums
+class _Problem:
+    """One synthesis problem, prepared once per call.
+
+    Builds the output partition (unless given), refuses more than
+    ``CELL_CAP`` equal-output pairs before anything else, then reads
+    ``L`` and ``H`` once for what the bounds and the sweep share: the
+    walk order ``members`` (0-based states, classes in ascending output
+    order), each member's sorted distinct successors ``options``
+    (0-based), the naive bound (their product) and the outputs ``out``
+    indexed by 0-based state. The calling conventions are ``_kernel_py``'s.
+    """
+
+    __slots__ = ("lcn", "partition", "members", "options", "naive", "out")
+
+    def __init__(self, lcn: Lcn, partition: OutputClassPartition | None = None) -> None:
+        if partition is None:
+            partition = output_partition(lcn)
+        _check_pair_count(cls.size for cls in partition.classes)  # before any counting
+        self.lcn = lcn
+        self.partition = partition
+        self.members = [x - 1 for cls in partition.classes for x in cls.members]
+        self.options = [[v - 1 for v in _successor_options(lcn, x + 1)] for x in self.members]
+        self.naive = prod(len(opts) for opts in self.options)
+        self.out = lcn.H.col_indices
+
+    def equal_output_pairs(self) -> list[tuple[int, int]]:
+        """The 0-based equal-output state pairs in lexicographic order,
+        the sweep's leaf check list. Built on demand: only the sweep
+        reads them, and a class of n states has n(n-1)/2 of them."""
+        return sorted(pair for cls in self.partition.classes
+                      for pair in combinations([x - 1 for x in cls.members], 2))
+
+    def class_counts(self) -> tuple[int, ...]:
+        """The per-class injective choice counts, whose product is the
+        refined bound. A class too large for the recursive count raises
+        :class:`MatrixSizeError` naming it."""
+        nums = []
+        for i, cls in enumerate(self.partition.classes, start=1):
+            try:
+                nums.append(injective_choice_count(self.lcn, self.partition, i))
+            except RecursionError:
+                raise MatrixSizeError(
+                    f"output class {i} of {cls.size} states is too large to count"
+                ) from None
+        return tuple(nums)
 
 
 def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     """(naive, refined) candidate counts: product of block column counts
     versus product of per-class injective choice counts."""
-    naive, nums = _bounds(lcn, output_partition(lcn))
-    return naive, prod(nums)
-
-
-def _sweep_arguments(lcn: Lcn, partition: OutputClassPartition):
-    out = [lcn.output(x) for x in range(1, lcn.state_dim + 1)]
-    members: list[int] = []
-    class_sizes: list[int] = []
-    options_flat: list[int] = []
-    option_offsets = [0]
-    for cls in partition.classes:
-        class_sizes.append(cls.size)
-        for x in cls.members:
-            members.append(x)
-            options_flat.extend(_successor_options(lcn, x))
-            option_offsets.append(len(options_flat))
-    return out, members, class_sizes, options_flat, option_offsets
+    problem = _Problem(lcn)
+    return problem.naive, prod(problem.class_counts())
 
 
 def _min_input_for(lcn: Lcn, state: int, target: int) -> int:
@@ -234,10 +257,8 @@ def enumerate_candidates(lcn: Lcn,
     transition map, in lexicographic order of chosen successor values
     (classes in ascending output order, members ascending, values
     ascending). Yields exactly the refined bound."""
-    if partition is None:
-        partition = output_partition(lcn)
-    _out, *walk = _sweep_arguments(lcn, partition)
-    for succ0 in _kernel_py.candidates(*walk):
+    problem = _Problem(lcn, partition)
+    for succ0 in _kernel_py.candidates(problem.members, problem.options, problem.out):
         yield controller_for_map(lcn, [s + 1 for s in succ0])
 
 
@@ -260,9 +281,8 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
     if backend not in ("auto", "python"):
         raise ValueError(f"unknown backend {backend!r}; expected auto or python")
-    part = output_partition(lcn)
-    _check_pair_count(cls.size for cls in part.classes)  # before any counting
-    naive, nums = _bounds(lcn, part)
+    problem = _Problem(lcn)
+    naive, nums = problem.naive, problem.class_counts()
     refined = prod(nums)
 
     if is_observable(lcn):
@@ -284,7 +304,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
 
     cap = -1 if max_candidates is None else max_candidates
     status, checked, assignment = _kernel_py.sweep_first_observable(
-        *_sweep_arguments(lcn, part), cap
+        problem.members, problem.options, problem.out, problem.equal_output_pairs(), cap
     )
     if status == _kernel_py.FOUND:
         return SynthesisReport(Verdict.SYNTHESIZED, controller_for_map(lcn, assignment),

@@ -19,6 +19,7 @@ from oracles import (
     oracle_controllable,
     oracle_observable,
 )
+from sweeps import sweep_count_observable
 from test_analysis import MIX_EDGES, ONES_EDGES
 
 from lcnsyn import (
@@ -36,7 +37,6 @@ from lcnsyn import (
     identity,
     is_controllable,
     is_observable,
-    kernel,
     kron,
     logical_identity,
     observability_graph,
@@ -47,7 +47,7 @@ from lcnsyn import (
     synthesize_observability,
     transition_graph,
 )
-from lcnsyn.synthesis import _sweep_arguments, output_partition
+from lcnsyn.synthesis import _Problem
 
 
 @contextmanager
@@ -164,10 +164,10 @@ def test_criterion_5_big_network_bounds_synthesis_and_graphs():
         assert sum(1 for s, d, _w in ones_edges if s == d and s is not DIAG) == 3
         assert sum(1 for s, d, _w in ones_edges if d is DIAG and s is not DIAG) == 1
 
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        backend = kernel.get_backend("auto")
+        problem = _Problem(nets.BIG84)
         t0 = time.perf_counter()
-        total, _good = backend.sweep_count_observable(*args)
+        total, _good = sweep_count_observable(problem.members, problem.options, problem.out,
+                                              problem.equal_output_pairs())
         yielded = sum(1 for _ in enumerate_candidates(nets.BIG84))
         elapsed = time.perf_counter() - t0
         assert total == yielded == 7038

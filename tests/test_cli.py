@@ -246,7 +246,8 @@ def test_unwritable_output_is_an_input_error(capsys, fixtures_dir, tmp_path, com
 
 @pytest.mark.parametrize("argv", [["check-observability"],
                                   ["export-graph", "--graph", "observability"],
-                                  ["synthesize"]],
+                                  ["synthesize"],
+                                  ["bounds"]],
                          ids=lambda argv: argv[0])
 def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     # 1449 states with one output have 1 049 076 equal-output pairs, past CELL_CAP
@@ -257,6 +258,19 @@ def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds cap" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "synthesize"])
+def test_class_too_large_to_count_is_an_input_error(capsys, tmp_path, command):
+    # one output class of 1100 states passes the pair cap, but its count
+    # recurses deeper than the interpreter's default limit
+    n = 1100
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": list(range(1, n + 1)),
+                                "H": [1] * n}))
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == "error: output class 1 of 1100 states is too large to count\n"
 
 
 def test_import_loads_no_dataclass_or_typing_machinery():

@@ -11,6 +11,7 @@ import pytest
 
 import nets
 from conftest import random_lcn
+from sweeps import closed_loop_observable, equal_output_pairs, sweep_count_observable
 
 from lcnsyn import (
     Lcn,
@@ -22,12 +23,17 @@ from lcnsyn import (
     synthesize_observability,
 )
 from lcnsyn import _kernel_py, kernel
-from lcnsyn.synthesis import _sweep_arguments, output_partition
+from lcnsyn.synthesis import _Problem
 
 
-@pytest.fixture(params=kernel.available_backends())
-def backend(request):
-    return kernel.get_backend(request.param)
+def sweep_arguments(lcn):
+    """The sweep's arguments, as synthesis prepares them."""
+    problem = _Problem(lcn)
+    return problem.members, problem.options, problem.out, problem.equal_output_pairs()
+
+
+def walk(lcn):
+    return sweep_arguments(lcn)[:3]
 
 
 def closed_loop_arrays(lcn):
@@ -36,18 +42,16 @@ def closed_loop_arrays(lcn):
     return succ, out
 
 
-def product_order(members, class_sizes, options_flat, option_offsets):
+def product_order(members, options, out):
     """Brute-force candidate order: every per-position option tuple in
-    lexicographic order, kept when injective within each class."""
-    options = [options_flat[a:b] for a, b in zip(option_offsets, option_offsets[1:])]
-    bounds = [0]
-    for size in class_sizes:
-        bounds.append(bounds[-1] + size)
+    lexicographic order, kept when no two equal-output states share a
+    successor."""
+    pairs = equal_output_pairs(out)
     for values in product(*options):
-        if all(len(set(values[a:b])) == b - a for a, b in zip(bounds, bounds[1:])):
-            succ = [0] * len(members)
-            for x, v in zip(members, values):
-                succ[x - 1] = v - 1
+        succ = [0] * len(members)
+        for x, v in zip(members, values):
+            succ[x] = v
+        if all(succ[i] != succ[j] for i, j in pairs):
             yield succ
 
 
@@ -68,20 +72,20 @@ def indistinguishable_pairs(closed):
 
 
 class TestClosedLoopObservable:
-    def test_reference_closed_loops(self, backend):
+    def test_reference_closed_loops(self):
         for lcn, expected in (
             (nets.BIG84_CL_ONES, False),
             (nets.BIG84_CL_MIX, True),
             (nets.TRI32_CL, False),
         ):
             succ, out = closed_loop_arrays(lcn)
-            assert backend.closed_loop_observable(succ, out) is expected
+            assert closed_loop_observable(succ, out) is expected
 
-    def test_matches_graph_analysis_on_random_closed_loops(self, backend, rng):
+    def test_matches_graph_analysis_on_random_closed_loops(self, rng):
         for _ in range(300):
             lcn = random_lcn(rng, n_max=6, m_max=1, q_max=3)
             succ, out = closed_loop_arrays(lcn)
-            assert backend.closed_loop_observable(succ, out) == is_observable(lcn).observable
+            assert closed_loop_observable(succ, out) == is_observable(lcn).observable
 
     def test_large_state_space_matches_graph_analysis(self, rng):
         # the only closed loops here whose pair walks run long
@@ -90,66 +94,63 @@ class TestClosedLoopObservable:
             succ = [rng.randint(1, n) for _ in range(n)]
             out = [rng.randint(1, q) for _ in range(n)]
             lcn = Lcn(n, 1, q, LogicalMatrix(n, tuple(succ)), LogicalMatrix(q, tuple(out)))
-            assert _kernel_py.closed_loop_observable(succ, out) == is_observable(lcn).observable
+            assert closed_loop_observable(succ, out) == is_observable(lcn).observable
 
 
 class TestCandidateWalk:
     def test_matches_brute_force_product_order(self, rng):
         for _ in range(60):
             lcn = random_lcn(rng, n_max=5, m_max=3, q_max=2)
-            _out, *walk = _sweep_arguments(lcn, output_partition(lcn))
-            walked = [list(succ0) for succ0 in _kernel_py.candidates(*walk)]
-            assert walked == list(product_order(*walk))
+            args = walk(lcn)
+            walked = [list(succ0) for succ0 in _kernel_py.candidates(*args)]
+            assert walked == list(product_order(*args))
 
     def test_big_network_leaf_count(self):
-        _out, *walk = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        assert sum(1 for _ in _kernel_py.candidates(*walk)) == 7038
+        assert sum(1 for _ in _kernel_py.candidates(*walk(nets.BIG84))) == 7038
 
     def test_zero_choice_class_yields_nothing(self):
-        _out, *walk = _sweep_arguments(nets.SINK42_OUT2, output_partition(nets.SINK42_OUT2))
-        assert list(_kernel_py.candidates(*walk)) == []
+        assert list(_kernel_py.candidates(*walk(nets.SINK42_OUT2))) == []
 
 
 class TestSweep:
-    def test_sweep_order_matches_public_enumeration(self, backend, rng):
-        # the backends' leaf order is the documented candidate order. On the
+    def test_sweep_order_matches_public_enumeration(self, rng):
+        # the sweep's leaf order is the documented candidate order. On the
         # larger networks some unobservable leaf shares no indistinguishable
         # pair with the unobservable leaf before it, so a leaf check that
         # starts from the previous leaf's doomed pair starts wrong there
         switches = 0
         for lcn in [random_lcn(rng) for _ in range(30)] + [random_lcn(rng, 6, 4, 3)
                                                            for _ in range(30)]:
-            args = _sweep_arguments(lcn, output_partition(lcn))
+            args = sweep_arguments(lcn)
             closed = [apply_feedback(lcn, c) for c in enumerate_candidates(lcn)]
             doomed = [indistinguishable_pairs(fed) for fed in closed]
             switches += sum(1 for a, b in zip(doomed, doomed[1:]) if a and b and not a & b)
             maps = [fed.L.col_indices for fed in closed]
             hits = [fed.L.col_indices for fed in closed if is_observable(fed).observable]
-            status, checked, found = backend.sweep_first_observable(*args, -1)
+            status, checked, found = _kernel_py.sweep_first_observable(*args, -1)
             if hits:
-                assert status == kernel.FOUND
+                assert status == _kernel_py.FOUND
                 assert found == hits[0]
                 assert checked == maps.index(hits[0]) + 1
             else:
-                assert status == kernel.EXHAUSTED
+                assert status == _kernel_py.EXHAUSTED
                 assert checked == len(maps)
-            assert backend.sweep_count_observable(*args) == (len(maps), len(hits))
+            assert sweep_count_observable(*args) == (len(maps), len(hits))
         assert switches >= 1
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 828])
-    def test_cap_below_witness_rank(self, backend, cap):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        assert backend.sweep_first_observable(*args, cap) == (kernel.CAP_REACHED, cap, None)
+    def test_cap_below_witness_rank(self, cap):
+        args = sweep_arguments(nets.BIG84)
+        assert _kernel_py.sweep_first_observable(*args, cap) == (_kernel_py.CAP_REACHED, cap, None)
 
-    def test_cap_at_witness_rank_finds_it(self, backend):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        status, checked, found = backend.sweep_first_observable(*args, 829)
-        assert (status, checked) == (kernel.FOUND, 829)
-        assert backend.sweep_first_observable(*args, -1) == (status, checked, found)
+    def test_cap_at_witness_rank_finds_it(self):
+        args = sweep_arguments(nets.BIG84)
+        status, checked, found = _kernel_py.sweep_first_observable(*args, 829)
+        assert (status, checked) == (_kernel_py.FOUND, 829)
+        assert _kernel_py.sweep_first_observable(*args, -1) == (status, checked, found)
 
-    def test_big_network_full_count(self, backend):
-        args = _sweep_arguments(nets.BIG84, output_partition(nets.BIG84))
-        total, _good = backend.sweep_count_observable(*args)
+    def test_big_network_full_count(self):
+        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84))
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
@@ -160,7 +161,12 @@ class TestBenchmarkSurface:
     def test_backend_names(self):
         assert kernel.DEFAULT_BACKEND == "python"
         assert kernel.available_backends() == ("python",)
-        assert kernel.get_backend("auto") is kernel.get_backend("python") is _kernel_py
+
+    def test_sweep_result(self):
+        # spantrace counts leaves from r[1] and witnesses from r[0] == 0
+        assert _kernel_py.FOUND == 0
+        status, checked, _found = _kernel_py.sweep_first_observable(*sweep_arguments(nets.BIG84))
+        assert (status, checked) == (0, 829)
 
     def test_backend_keyword(self):
         reports = {b: synthesize_observability(nets.BIG84, backend=b) for b in ("auto", "python")}
@@ -172,8 +178,6 @@ class TestBenchmarkSurface:
     def test_unknown_backend_is_rejected(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
             synthesize_observability(nets.BIG84, backend=name)
-        with pytest.raises(ValueError, match="unknown backend"):
-            kernel.get_backend(name)
 
     @pytest.mark.parametrize("module, name", [
         ("lcnsyn._kernel_py", "sweep_first_observable"),

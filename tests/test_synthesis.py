@@ -299,6 +299,38 @@ class TestSynthesize:
             synthesize_observability(lcn)
         assert calls == []
 
+    @pytest.mark.parametrize("func", [candidate_bounds, synthesize_observability])
+    def test_class_too_large_to_count_is_a_size_error(self, func):
+        # one class of 1100 states passes the pair cap (604 450 pairs), but
+        # counting it recurses deeper than the interpreter's default limit
+        n = 1100
+        lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
+        with pytest.raises(MatrixSizeError, match="output class 1 of 1100 states"):
+            func(lcn)
+
+    def test_prepares_the_problem_once(self, monkeypatch):
+        # options per state: once for the prepared problem, once in the
+        # per-class count; synthesis builds the pair list, the sweep walks it
+        derived = []
+        options = synthesis._successor_options
+        monkeypatch.setattr(synthesis, "_successor_options",
+                            lambda lcn, x: derived.append(x) or options(lcn, x))
+        swept = []
+        sweep = synthesis._kernel_py.sweep_first_observable
+        monkeypatch.setattr(synthesis._kernel_py, "sweep_first_observable",
+                            lambda *a: swept.append(a) or sweep(*a))
+        assert synthesize_observability(nets.BIG84).candidates_checked == 829
+        assert sorted(derived) == sorted(2 * list(range(1, 9)))
+
+        built = []
+        pairs = synthesis._Problem.equal_output_pairs
+        monkeypatch.setattr(synthesis._Problem, "equal_output_pairs",
+                            lambda self: built.append(pairs(self)) or built[-1])
+        swept.clear()
+        synthesize_observability(nets.BIG84)
+        [args] = swept
+        assert built == [args[3]] and built[0] is args[3]
+
     def test_merging_equal_output_states_is_always_unobservable(self, rng):
         # the fact behind within-class injectivity: g mapping two
         # equal-output states onto one successor kills observability
