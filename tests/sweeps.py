@@ -15,20 +15,22 @@ def equal_output_pairs(out) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n - 1) for j in range(i + 1, n) if out[i] == out[j]]
 
 
-def closed_loop_observable(succ, out) -> bool:
-    """Observability of the autonomous system ``x+ = succ[x]``, ``y = out[x]``.
+def closed_loop_observable(succ, out, kernel=_kernel_py) -> bool:
+    """Observability of the autonomous system ``x+ = succ[x]``, ``y = out[x]``,
+    by ``kernel``'s leaf check.
 
     ``succ`` and ``out`` are 1-based per-state sequences of length N.
     """
-    return _kernel_py._unsafe_pair([s - 1 for s in succ], out, equal_output_pairs(out), 0) < 0
+    return kernel._unsafe_pair([s - 1 for s in succ], out, equal_output_pairs(out), 0) < 0
 
 
-def sweep_count_observable(members, options, out, pairs):
-    """Evaluate every candidate; return ``(total, observable_count)``."""
+def sweep_count_observable(members, options, out, pairs, kernel=_kernel_py):
+    """Evaluate every candidate of ``kernel``'s walk; return
+    ``(total, observable_count)``."""
     total = good = hint = 0
-    for succ0 in _kernel_py.candidates(members, options, out):
+    for succ0 in kernel.candidates(members, options, out):
         total += 1
-        k = _kernel_py._unsafe_pair(succ0, out, pairs, hint)
+        k = kernel._unsafe_pair(succ0, out, pairs, hint)
         if k < 0:
             good += 1
         else:

@@ -26,6 +26,13 @@ from lcnsyn import _kernel_py, kernel
 from lcnsyn.synthesis import _Problem
 
 
+@pytest.fixture(params=kernel.available_backends())
+def backend(request):
+    """The sweep kernel behind each backend name ``synthesize_observability``
+    accepts."""
+    return {"python": _kernel_py}[request.param]
+
+
 def sweep_arguments(lcn):
     """The sweep's arguments, as synthesis prepares them."""
     problem = _Problem(lcn)
@@ -72,20 +79,20 @@ def indistinguishable_pairs(closed):
 
 
 class TestClosedLoopObservable:
-    def test_reference_closed_loops(self):
+    def test_reference_closed_loops(self, backend):
         for lcn, expected in (
             (nets.BIG84_CL_ONES, False),
             (nets.BIG84_CL_MIX, True),
             (nets.TRI32_CL, False),
         ):
             succ, out = closed_loop_arrays(lcn)
-            assert closed_loop_observable(succ, out) is expected
+            assert closed_loop_observable(succ, out, backend) is expected
 
-    def test_matches_graph_analysis_on_random_closed_loops(self, rng):
+    def test_matches_graph_analysis_on_random_closed_loops(self, backend, rng):
         for _ in range(300):
             lcn = random_lcn(rng, n_max=6, m_max=1, q_max=3)
             succ, out = closed_loop_arrays(lcn)
-            assert closed_loop_observable(succ, out) == is_observable(lcn).observable
+            assert closed_loop_observable(succ, out, backend) == is_observable(lcn).observable
 
     def test_large_state_space_matches_graph_analysis(self, rng):
         # the only closed loops here whose pair walks run long
@@ -113,7 +120,7 @@ class TestCandidateWalk:
 
 
 class TestSweep:
-    def test_sweep_order_matches_public_enumeration(self, rng):
+    def test_sweep_order_matches_public_enumeration(self, backend, rng):
         # the sweep's leaf order is the documented candidate order. On the
         # larger networks some unobservable leaf shares no indistinguishable
         # pair with the unobservable leaf before it, so a leaf check that
@@ -127,30 +134,30 @@ class TestSweep:
             switches += sum(1 for a, b in zip(doomed, doomed[1:]) if a and b and not a & b)
             maps = [fed.L.col_indices for fed in closed]
             hits = [fed.L.col_indices for fed in closed if is_observable(fed).observable]
-            status, checked, found = _kernel_py.sweep_first_observable(*args, -1)
+            status, checked, found = backend.sweep_first_observable(*args, -1)
             if hits:
-                assert status == _kernel_py.FOUND
+                assert status == backend.FOUND
                 assert found == hits[0]
                 assert checked == maps.index(hits[0]) + 1
             else:
-                assert status == _kernel_py.EXHAUSTED
+                assert status == backend.EXHAUSTED
                 assert checked == len(maps)
-            assert sweep_count_observable(*args) == (len(maps), len(hits))
+            assert sweep_count_observable(*args, backend) == (len(maps), len(hits))
         assert switches >= 1
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 828])
-    def test_cap_below_witness_rank(self, cap):
+    def test_cap_below_witness_rank(self, backend, cap):
         args = sweep_arguments(nets.BIG84)
-        assert _kernel_py.sweep_first_observable(*args, cap) == (_kernel_py.CAP_REACHED, cap, None)
+        assert backend.sweep_first_observable(*args, cap) == (backend.CAP_REACHED, cap, None)
 
-    def test_cap_at_witness_rank_finds_it(self):
+    def test_cap_at_witness_rank_finds_it(self, backend):
         args = sweep_arguments(nets.BIG84)
-        status, checked, found = _kernel_py.sweep_first_observable(*args, 829)
-        assert (status, checked) == (_kernel_py.FOUND, 829)
-        assert _kernel_py.sweep_first_observable(*args, -1) == (status, checked, found)
+        status, checked, found = backend.sweep_first_observable(*args, 829)
+        assert (status, checked) == (backend.FOUND, 829)
+        assert backend.sweep_first_observable(*args, -1) == (status, checked, found)
 
-    def test_big_network_full_count(self):
-        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84))
+    def test_big_network_full_count(self, backend):
+        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84), backend)
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
