@@ -31,7 +31,7 @@ from collections import Counter, deque
 
 from ._value import Value
 from .model import Lcn
-from .stp import CELL_CAP, DenseMatrix, MatrixSizeError
+from .stp import CELL_CAP, DenseMatrix, MatrixSizeError, _check_cells
 
 
 class _Diag:
@@ -153,8 +153,12 @@ class ObservabilityResult(Value):
 
 
 def transition_graph(lcn: Lcn) -> StateTransitionGraph:
-    """Adjacency ``[L_1 1_M, ..., L_N 1_M]`` of the transition graph."""
+    """Adjacency ``[L_1 1_M, ..., L_N 1_M]`` of the transition graph.
+
+    Raises :class:`MatrixSizeError` when its N*N cells exceed :data:`CELL_CAP`.
+    """
     n, m = lcn.state_dim, lcn.input_dim
+    _check_cells(n, n)
     counts = [0] * (n * n)
     for x in range(1, n + 1):
         for u in range(1, m + 1):

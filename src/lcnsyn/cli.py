@@ -9,10 +9,10 @@ structured``); ``--format text`` prints key/value lines.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import prod
+from types import SimpleNamespace
 
 from . import files
 from .analysis import (
@@ -65,19 +65,8 @@ def _obs_witness_text(witness, lcn) -> str:
     return " -> ".join(_pair_name(v, v is not DIAG and max(v) > 9) for v in path)
 
 
-def _load_network(path):
-    try:
-        return files.load_network(path)
-    except files.FileFormatError as exc:
-        for line in exc.violations:
-            print(f"error: {line}", file=sys.stderr)
-        return None
-
-
 def cmd_check_controllability(args) -> int:
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     result = is_controllable(lcn)
     doc = {
         "controllable": result.controllable,
@@ -91,9 +80,7 @@ def cmd_check_controllability(args) -> int:
 
 
 def cmd_check_observability(args) -> int:
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     graph = observability_graph(lcn)  # one pair graph for the verdict and the DOT text
     result = graph._decide()
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
@@ -107,9 +94,7 @@ def cmd_check_observability(args) -> int:
 
 
 def cmd_apply_feedback(args) -> int:
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     try:
         ctrl = files.load_controller(args.controller, lcn.input_dim)
         closed = apply_feedback(lcn, ctrl)
@@ -127,9 +112,7 @@ def cmd_synthesize(args) -> int:
         print(f"error: --max-candidates must be non-negative, got {args.max_candidates}",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     report = synthesize_observability(lcn, max_candidates=args.max_candidates)
     doc = {
         "verdict": report.verdict.value,
@@ -160,9 +143,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     problem = _Problem(lcn)
     nums = problem.class_counts()
     _print_report({"naive": problem.naive, "refined": prod(nums), "num_factors": list(nums)},
@@ -171,9 +152,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    lcn = _load_network(args.network)
-    if lcn is None:
-        return EXIT_INPUT_ERROR
+    lcn = files.load_network(args.network)
     graph = transition_graph(lcn) if args.graph == "transition" else observability_graph(lcn)
     text = export_dot(graph)
     if args.out:
@@ -184,56 +163,106 @@ def cmd_export_graph(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcnsyn",
-        description="Analyze logical control networks and synthesize "
-        "state feedback for observability.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: subcommand -> (handler, positionals, options, help line); every one also
+#: takes ``_FORMAT``. An option's kind is ``str`` (a path) or ``int``, both
+#: None when absent, ``REQUIRED`` (a path), or a tuple of choices, default first.
+REQUIRED = "required"
+_FORMAT = {"--format": ("structured", "text")}
+COMMANDS = {
+    "check-controllability": (cmd_check_controllability, ("network",), {},
+                              "decide controllability (strong connectivity)"),
+    "check-observability": (cmd_check_observability, ("network",), {"--dot": str},
+                            "decide observability via the pair graph (--dot writes it as DOT)"),
+    "apply-feedback": (cmd_apply_feedback, ("network", "controller"), {"--out": REQUIRED},
+                       "apply a state-feedback controller and write the result"),
+    "synthesize": (cmd_synthesize, ("network",), {"--max-candidates": int, "--out": str},
+                   "search closed-loop controllers enforcing observability "
+                   "(exit 4 after --max-candidates N)"),
+    "bounds": (cmd_bounds, ("network",), {}, "report naive and refined candidate bounds"),
+    "export-graph": (cmd_export_graph, ("network",),
+                     {"--graph": ("transition", "observability"), "--out": str},
+                     "write a graph as DOT (default stdout)"),
+}
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("network", help="network file (JSON)")
-        p.add_argument("--format", choices=("text", "structured"), default="structured")
-        p.set_defaults(func=func)
-        return p
 
-    add("check-controllability", cmd_check_controllability,
-        help="decide controllability (strong connectivity)")
+class _Stop(Exception):
+    """Ends parsing with ``(subcommand or None, reason)``; no reason asks for help."""
 
-    p = add("check-observability", cmd_check_observability,
-            help="decide observability via the pair graph")
-    p.add_argument("--dot", metavar="PATH", help="also write the pair graph as DOT")
 
-    p = add("apply-feedback", cmd_apply_feedback,
-            help="apply a state-feedback controller and write the result")
-    p.add_argument("controller", help="controller file (JSON)")
-    p.add_argument("--out", required=True, metavar="PATH", help="output network file")
+def _parse(argv: list[str]) -> SimpleNamespace:
+    command, *rest = argv or [None]
+    if command in ("-h", "--help"):
+        raise _Stop(None)
+    if command not in COMMANDS:
+        raise _Stop(None, f"unknown command {command!r}" if argv else "a command is required")
+    positionals, options = COMMANDS[command][1], {**_FORMAT, **COMMANDS[command][2]}
+    values = {name: kind[0] if type(kind) is tuple else None for name, kind in options.items()}
+    given, tokens = [], iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Stop(command)
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise _Stop(command, f"unrecognized option {token!r}")
+        kind, value = options[name], value if eq else next(tokens, None)
+        if value is None:
+            raise _Stop(command, f"{name} needs a value")
+        if type(kind) is tuple and value not in kind:
+            raise _Stop(command, f"{name}: invalid choice {value!r}, choose from {kind}")
+        try:
+            values[name] = int(value) if kind is int else value
+        except ValueError:
+            raise _Stop(command, f"{name}: invalid int value {value!r}") from None
+    missing = [*positionals[len(given):], *(name for name, kind in options.items()
+                                            if kind is REQUIRED and values[name] is None)]
+    if missing:
+        raise _Stop(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(given) > len(positionals):
+        raise _Stop(command, f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    return SimpleNamespace(func=COMMANDS[command][0], **dict(zip(positionals, given)),
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
 
-    p = add("synthesize", cmd_synthesize,
-            help="search closed-loop controllers enforcing observability")
-    p.add_argument("--max-candidates", type=int, default=None, metavar="N",
-                   help="evaluate at most N candidates (exit 4 when hit)")
-    p.add_argument("--out", metavar="PATH", help="write the witness controller here")
 
-    add("bounds", cmd_bounds, help="report naive and refined candidate bounds")
+def _usage(command) -> str:
+    if command is None:
+        return "usage: lcnsyn <command> <network> ... [options]"
+    words = [command, *COMMANDS[command][1]]
+    for name, kind in {**_FORMAT, **COMMANDS[command][2]}.items():
+        meta = f"{{{','.join(kind)}}}" if type(kind) is tuple else "N" if kind is int else "PATH"
+        words.append(f"{name} {meta}" if kind is REQUIRED else f"[{name} {meta}]")
+    return " ".join(["usage: lcnsyn", *words])
 
-    p = add("export-graph", cmd_export_graph, help="write a graph as DOT")
-    p.add_argument("--graph", choices=("transition", "observability"),
-                   default="transition")
-    p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
 
-    return parser
+def _help(command) -> str:
+    if command is not None:
+        return f"{_usage(command)}\n\n{COMMANDS[command][3]}"
+    rows = "".join(f"\n  {name:<21}  {spec[3]}" for name, spec in COMMANDS.items())
+    return (f"{_usage(None)}\n\nAnalyze logical control networks and synthesize state "
+            f"feedback for observability.\n\ncommands:{rows}\n\n'lcnsyn <command> -h' lists "
+            "its options.")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        command, *error = stop.args
+        if not error:
+            print(_help(command))
+            return EXIT_OK
+        print(f"{_usage(command)}\nlcnsyn: error: {error[0]}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         return args.func(args)
+    except files.FileFormatError as exc:  # a malformed network file
+        for line in exc.violations:
+            print(f"error: {line}", file=sys.stderr)
     except (OSError, MatrixSizeError) as exc:  # unwritable output, oversized input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

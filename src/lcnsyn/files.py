@@ -95,22 +95,20 @@ def network_from_dict(doc: dict) -> Lcn:
             raise FileFormatError([str(exc)]) from exc
         if hcols is not None:
             raise FileFormatError(["truth_table already defines the output map; drop H"])
+        lmat, hmat = lcn.L, lcn.H
     else:
-        if hcols is None:
-            if q != n:
-                raise FileFormatError(
-                    [f"H omitted (identity output) requires Q == N, got Q={q} N={n}"]
-                )
-            h = logical_identity(n)
-        else:
-            h = LogicalMatrix(q, hcols)
-        lcn = Lcn(n, m, q, LogicalMatrix(n, lcols), h)
-    lcn = Lcn(lcn.state_dim, lcn.input_dim, lcn.output_dim, lcn.L, lcn.H,
-              factors["state_factors"], factors["input_factors"], factors["output_factors"])
-    violations = validate(lcn)
+        if hcols is None and q != n:
+            raise FileFormatError(
+                [f"H omitted (identity output) requires Q == N, got Q={q} N={n}"]
+            )
+        # an omitted H is the identity: valid, and O(N) to build, so it is
+        # built only once validation has checked L against the declared N
+        lmat, hmat = LogicalMatrix(n, lcols), None if hcols is None else LogicalMatrix(q, hcols)
+    factor_args = (factors["state_factors"], factors["input_factors"], factors["output_factors"])
+    violations = validate(Lcn(n, m, q, lmat, hmat, *factor_args))
     if violations:
         raise FileFormatError(violations)
-    return lcn
+    return Lcn(n, m, q, lmat, logical_identity(n) if hmat is None else hmat, *factor_args)
 
 
 def network_to_dict(lcn: Lcn) -> dict:

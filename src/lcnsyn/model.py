@@ -109,7 +109,11 @@ def _check_factors(label: str, factors, dim: int, out: list[str]) -> None:
 
 
 def validate(lcn: Lcn) -> list[str]:
-    """Check every model invariant; return all violations (empty = ok)."""
+    """Check every model invariant; return all violations (empty = ok).
+
+    An ``H`` of ``None`` stands for the identity output, which a network
+    file may omit; it is valid by construction and is not checked.
+    """
     v: list[str] = []
     n, m, q = lcn.state_dim, lcn.input_dim, lcn.output_dim
     if n < 1 or m < 1 or q < 1:
@@ -122,13 +126,14 @@ def validate(lcn: Lcn) -> list[str]:
     for j, t in enumerate(lcn.L.col_indices, start=1):
         if not (1 <= t <= n):
             v.append(f"L index out of range: column {j} targets {t}, not in [1, {n}]")
-    if lcn.H.rows != q:
-        v.append(f"H row dimension {lcn.H.rows} != {q}")
-    if lcn.H.cols != n:
-        v.append(f"H column count {lcn.H.cols} != {n} (N)")
-    for j, t in enumerate(lcn.H.col_indices, start=1):
-        if not (1 <= t <= q):
-            v.append(f"H index out of range: column {j} targets {t}, not in [1, {q}]")
+    if lcn.H is not None:
+        if lcn.H.rows != q:
+            v.append(f"H row dimension {lcn.H.rows} != {q}")
+        if lcn.H.cols != n:
+            v.append(f"H column count {lcn.H.cols} != {n} (N)")
+        for j, t in enumerate(lcn.H.col_indices, start=1):
+            if not (1 <= t <= q):
+                v.append(f"H index out of range: column {j} targets {t}, not in [1, {q}]")
     _check_factors("state_factors", lcn.state_factors, n, v)
     _check_factors("input_factors", lcn.input_factors, m, v)
     _check_factors("output_factors", lcn.output_factors, q, v)

@@ -96,6 +96,15 @@ class TestTransitionGraph:
             via_stp = stp(stp(expand(lcn.L), expand(swap_matrix(m, n))), ones)
             assert transition_graph(lcn).adjacency == via_stp
 
+    def test_refuses_more_cells_than_the_cell_cap(self):
+        # a 1025-state single-input ring: 1025 * 1025 = 1 050 625 adjacency cells
+        n = 1025
+        lcn = Lcn(n, 1, 1, LogicalMatrix(n, (*range(2, n + 1), 1)), LogicalMatrix(1, (1,) * n))
+        assert n * n > CELL_CAP
+        with pytest.raises(MatrixSizeError, match="1025x1025 matrix .* exceeds cap"):
+            transition_graph(lcn)
+        assert is_controllable(lcn).controllable  # reads L, not the adjacency
+
 
 class TestIsControllable:
     def test_funnel_not_controllable_with_pinned_witness(self):

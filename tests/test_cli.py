@@ -21,6 +21,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_args(capsys, *argv):
+    """Like :func:`run`, for argument handling: a parser may end an
+    argument error or ``--help`` with ``SystemExit`` instead of returning."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out.strip() else None, err
@@ -273,11 +284,85 @@ def test_class_too_large_to_count_is_an_input_error(capsys, tmp_path, command):
     assert err == "error: output class 1 of 1100 states is too large to count\n"
 
 
-def test_import_loads_no_dataclass_or_typing_machinery():
-    # -S keeps the interpreter's site hook from preloading typing
-    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
-    code = f"import sys, lcnsyn.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_import_loads_no_dataclass_or_typing_machinery(fixtures_dir):
+    # -S keeps the interpreter's site hook from preloading typing; a whole
+    # call must not load argparse either, nor the gettext and locale it uses
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing", "argparse", "gettext", "locale")
+    code = (f"import sys, lcnsyn.cli; lcnsyn.cli.main(['bounds', "
+            f"{str(fixtures_dir / 'big84.json')!r}]); "
+            f"print([m for m in {heavy!r} if m in sys.modules], file=sys.stderr)")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout)["refined"] == 7038
+    assert proc.stderr.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "{net}"],
+    ["bounds", "{net}", "--bogus"],
+    ["synthesize", "{net}", "--out"],
+    ["bounds", "{net}", "--format", "yaml"],
+    ["export-graph", "{net}", "--graph", "foo"],
+    ["synthesize", "{net}", "--max-candidates", "abc"],
+    ["apply-feedback", "{net}", "{ctrl}"],
+    ["bounds"],
+    ["apply-feedback", "{net}", "--out", "{out}"],
+    ["bounds", "{net}", "{net}"],
+], ids=["no-arguments", "unknown-subcommand", "unknown-option", "missing-value",
+        "bad-format", "bad-graph", "bad-int", "missing-required-option",
+        "missing-positional", "missing-second-positional", "extra-positional"])
+def test_argument_errors_exit_2_with_empty_stdout(capsys, fixtures_dir, tmp_path, argv):
+    paths = {"{net}": fixtures_dir / "big84.json", "{ctrl}": fixtures_dir / "ctrl_big84_mix.json",
+             "{out}": tmp_path / "out.json"}
+    code, out, err = run_args(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert "error:" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_option_value_may_follow_an_equals_sign(capsys, fixtures_dir):
+    net = fixtures_dir / "big84.json"
+    for command in ("bounds", "check-observability"):
+        spaced = run_args(capsys, command, net, "--format", "text")
+        assert run_args(capsys, command, net, "--format=text") == spaced
+        assert spaced[0] in (0, 3) and spaced[1].startswith(("naive: ", "observable: "))
+
+
+def test_options_may_precede_positionals_and_the_last_repeat_wins(capsys, fixtures_dir):
+    code, doc, _ = run_json(capsys, "synthesize", "--max-candidates", "5",
+                            "--max-candidates=1", fixtures_dir / "big84.json")
+    assert code == 4 and doc["candidates_checked"] == 1
+
+
+def test_option_prefixes_are_not_expanded(capsys, fixtures_dir):
+    code, out, err = run_args(capsys, "synthesize", fixtures_dir / "big84.json", "--max", "5")
+    assert code == 2 and out == ""
+    assert "error:" in err and "--max" in err
+
+
+def test_help_lists_subcommands_and_options(capsys):
+    code, out, err = run_args(capsys, "--help")
+    assert code == 0 and err == ""
+    for command in ("check-controllability", "check-observability", "apply-feedback",
+                    "synthesize", "bounds", "export-graph"):
+        assert command in out
+    code, out, err = run_args(capsys, "synthesize", "--help")
+    assert code == 0 and err == ""
+    for option in ("--format", "--max-candidates", "--out"):
+        assert option in out
+
+
+@pytest.mark.parametrize("argv", [["check-controllability"], ["export-graph"],
+                                  ["export-graph", "--graph", "transition"]],
+                         ids=lambda argv: "-".join(argv))
+def test_oversized_transition_graph_is_an_input_error(capsys, tmp_path, argv):
+    # a 1025-state ring has 1025 * 1025 = 1 050 625 adjacency cells, past CELL_CAP
+    n = 1025
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": [*range(2, n + 1), 1],
+                                "H": [1] * n}))
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err

@@ -1,6 +1,7 @@
 """Network/controller file formats: loading, saving, round trips, errors."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,20 @@ class TestNetworkFiles:
         with pytest.raises(FileFormatError) as exc_info:
             load_network(fixtures_dir / "bad_short_L.json")
         assert any("L column count 7 != 8" in v for v in exc_info.value.violations)
+
+    def test_short_l_is_refused_before_building_the_identity_output(self):
+        # H omitted means the N x N identity; a file declaring a huge N with a
+        # short L is refused before anything proportional to N is allocated
+        n = 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError) as exc_info:
+                network_from_dict({"N": n, "M": 1, "Q": n, "L": [1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc_info.value.violations == [f"L column count 1 != {n} (N*M)"]
+        assert peak < 1 << 20
 
     def test_all_violations_reported(self):
         with pytest.raises(FileFormatError) as exc_info:
