@@ -49,9 +49,7 @@ from .synthesis import (
     candidate_bounds,
     controllability_synthesis_verdict,
     enumerate_candidates,
-    injective_choice_count,
     output_partition,
-    structural_obstruction,
     synthesize_observability,
 )
 
@@ -90,7 +88,6 @@ __all__ = [
     "feedback_adjacency",
     "from_truth_table",
     "identity",
-    "injective_choice_count",
     "is_controllable",
     "is_observable",
     "kron",
@@ -100,7 +97,6 @@ __all__ = [
     "output_partition",
     "power_reducing_matrix",
     "stp",
-    "structural_obstruction",
     "swap_matrix",
     "synthesize_observability",
     "transition_graph",

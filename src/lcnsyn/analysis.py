@@ -27,7 +27,8 @@ reach one. The least pair that reaches a cycle is the witness.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
+from itertools import combinations
 
 from ._value import Value
 from .model import Lcn
@@ -226,6 +227,20 @@ def _reach_set(succs: list[list[int]], src: int) -> set[int]:
     return seen
 
 
+def _successors(lcn: Lcn) -> list[list[int]]:
+    """Each state's distinct successors (its block's columns), ascending, 0-based."""
+    m, cols = lcn.input_dim, lcn.L.col_indices
+    return [sorted({t - 1 for t in cols[x * m:(x + 1) * m]}) for x in range(lcn.state_dim)]
+
+
+def _output_classes(lcn: Lcn) -> list[tuple[int, list[int]]]:
+    """``(output, its 1-based states ascending)`` per output taken, ascending."""
+    by_output: dict[int, list[int]] = {}
+    for x, y in enumerate(lcn.H.col_indices, start=1):
+        by_output.setdefault(y, []).append(x)
+    return sorted(by_output.items())
+
+
 def is_controllable(lcn: Lcn) -> ControllabilityResult:
     """Controllable iff the transition graph is strongly connected.
 
@@ -233,9 +248,8 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
     pairs with no path, the one with the greatest source and, for that
     source, the least target.
     """
-    n, m = lcn.state_dim, lcn.input_dim
-    cols = lcn.L.col_indices
-    succs = [sorted({t - 1 for t in cols[x * m:(x + 1) * m]}) for x in range(n)]
+    n = lcn.state_dim
+    succs = _successors(lcn)
     if len(_strong_components(succs)) == 1:
         return ControllabilityResult(True, None)
     for src in range(n - 1, -1, -1):
@@ -263,13 +277,10 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     Raises :class:`MatrixSizeError`, before building anything, when there
     are more equal-output pairs than :data:`CELL_CAP`.
     """
-    n, m = lcn.state_dim, lcn.input_dim
-    cols = lcn.L.col_indices
-    out = [lcn.output(x) for x in range(1, n + 1)]
-    _check_pair_count(Counter(out).values())
-    vertices = tuple(
-        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if out[i - 1] == out[j - 1]
-    )
+    m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
+    classes = [members for _y, members in _output_classes(lcn)]
+    _check_pair_count(map(len, classes))
+    vertices = tuple(sorted(pair for members in classes for pair in combinations(members, 2)))
     edges = []
     for src in vertices:
         i, j = src

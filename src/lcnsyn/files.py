@@ -170,12 +170,11 @@ def controller_to_dict(ctrl: StateFeedback | ClosedLoopController) -> dict:
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise FileFormatError([f"cannot read {path}: {exc}"]) from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # bad syntax or encoding, an integer past the digit limit, too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError([f"{path} is not valid JSON: {exc}"]) from exc
 
 

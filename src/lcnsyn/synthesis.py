@@ -15,9 +15,10 @@ enumerates transition maps directly:
   pair merges into the diagonal and the closed loop is unobservable --
   so choices are restricted to be injective within each output class.
 
-The number of such choices per class (``injective_choice_count``)
-multiplies into the refined candidate bound; the unrestricted product
-of block column counts is the naive bound. A class with zero injective
+The number of such choices per class (``injective_choice_count``,
+counted from the members' option lists that ``_Problem`` derives once
+per call) multiplies into the refined candidate bound; the unrestricted
+product of block column counts is the naive bound. A class with zero injective
 choices, or a structural obstruction (two equal-output states with
 identical constant blocks, or a pair locked onto itself), proves that
 no state feedback whatsoever can help.
@@ -38,7 +39,8 @@ from types import MappingProxyType
 
 from . import _kernel_py
 from ._value import Value
-from .analysis import _check_pair_count, is_controllable, is_observable
+from .analysis import (_check_pair_count, _output_classes, _successors, is_controllable,
+                       is_observable)
 from .feedback import ClosedLoopController
 from .model import Lcn
 from .stp import MatrixSizeError
@@ -122,52 +124,44 @@ class SynthesisReport(Value):
 
 
 def output_partition(lcn: Lcn) -> OutputClassPartition:
-    by_output: dict[int, list[int]] = {}
-    for x in range(1, lcn.state_dim + 1):
-        by_output.setdefault(lcn.output(x), []).append(x)
-    classes = tuple(
-        OutputClass(y, tuple(members)) for y, members in sorted(by_output.items())
+    return OutputClassPartition(
+        tuple(OutputClass(y, tuple(members)) for y, members in _output_classes(lcn))
     )
-    return OutputClassPartition(classes)
 
 
-def _successor_options(lcn: Lcn, state: int) -> list[int]:
-    """Distinct columns of the state's block, ascending."""
-    return sorted(set(lcn.block(state).col_indices))
+def structural_obstruction(out, succ) -> Obstruction | None:
+    """First obstruction over the equal-output state pairs (j, k), j < k, in
+    lexicographic order; "constant_blocks" is checked before "locked_pair"
+    for each pair. ``out`` and ``succ`` give each 0-based state's output and
+    sorted distinct 0-based successors. Only pairs of two constant-block
+    states can be obstructed, so only those are checked, class by class."""
+    groups: dict[int, list[tuple[int, int]]] = {}  # output -> (state, target), 1-based
+    for x, opts in enumerate(succ):
+        if len(opts) == 1:
+            groups.setdefault(out[x], []).append((x + 1, opts[0] + 1))
+    firsts = [o for o in (next(_obstructions(g), None) for g in groups.values()) if o is not None]
+    return min(firsts, key=lambda o: (o.j, o.k), default=None)
 
 
-def structural_obstruction(lcn: Lcn) -> Obstruction | None:
-    """First obstruction over state pairs (j, k), j < k, in order;
-    "constant_blocks" is checked before "locked_pair" for each pair."""
-    n, m = lcn.state_dim, lcn.input_dim
-    const = []  # constant target of each block, or None
-    for x in range(1, n + 1):
-        cols = set(lcn.block(x).col_indices)
-        const.append(next(iter(cols)) if len(cols) == 1 else None)
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            if lcn.output(j) != lcn.output(k):
-                continue
-            cj, ck = const[j - 1], const[k - 1]
-            if cj is None or ck is None:
-                continue
+def _obstructions(group):
+    """The obstructed pairs of one class's constant-block states, given as
+    ascending (state, target) tuples, in lexicographic order."""
+    for a, (j, cj) in enumerate(group):
+        for k, ck in group[a + 1:]:
             if cj == ck:
-                return Obstruction("constant_blocks", j, k, cj)
-            if (cj == j and ck == k) or (cj == k and ck == j):
-                return Obstruction("locked_pair", j, k)
-    return None
+                yield Obstruction("constant_blocks", j, k, cj)
+            elif (cj == j and ck == k) or (cj == k and ck == j):
+                yield Obstruction("locked_pair", j, k)
 
 
-def injective_choice_count(lcn: Lcn, partition: OutputClassPartition, i: int) -> int:
-    """Number of ways to give class i's members pairwise-distinct
-    successors, each drawn from its own block columns (class index
-    1-based). Depth-first count with a used-value set."""
-    members = partition.classes[i - 1].members
-    options = [_successor_options(lcn, x) for x in members]
+def injective_choice_count(options) -> int:
+    """Number of ways to give one output class's members pairwise-distinct
+    successors, member i drawing from its option list ``options[i]``.
+    Depth-first count with a used-value set."""
     used: set[int] = set()
 
     def count(pos: int) -> int:
-        if pos == len(members):
+        if pos == len(options):
             return 1
         total = 0
         for v in options[pos]:
@@ -182,27 +176,25 @@ def injective_choice_count(lcn: Lcn, partition: OutputClassPartition, i: int) ->
 
 
 class _Problem:
-    """One synthesis problem, prepared once per call.
-
-    Builds the output partition (unless given), refuses more than
-    ``CELL_CAP`` equal-output pairs before anything else, then reads
-    ``L`` and ``H`` once for what the bounds and the sweep share: the
-    walk order ``members`` (0-based states, classes in ascending output
-    order), each member's sorted distinct successors ``options``
-    (0-based), the naive bound (their product) and the outputs ``out``
-    indexed by 0-based state. The calling conventions are ``_kernel_py``'s.
+    """One synthesis problem, prepared once per call: the only reader of
+    ``L`` and ``H`` while synthesis runs. Builds the output partition,
+    refuses more than ``CELL_CAP`` equal-output pairs before anything
+    else, then derives what the pre-checks and the sweep share: each
+    state's sorted distinct successors ``succ``, the walk order
+    ``members`` (classes in ascending output order), each member's
+    ``options`` (its ``succ`` entry), the naive bound (their product)
+    and the outputs ``out``, all 0-based and indexed by state as
+    ``_kernel_py`` takes them.
     """
 
-    __slots__ = ("lcn", "partition", "members", "options", "naive", "out")
+    __slots__ = ("partition", "succ", "members", "options", "naive", "out")
 
-    def __init__(self, lcn: Lcn, partition: OutputClassPartition | None = None) -> None:
-        if partition is None:
-            partition = output_partition(lcn)
-        _check_pair_count(cls.size for cls in partition.classes)  # before any counting
-        self.lcn = lcn
-        self.partition = partition
-        self.members = [x - 1 for cls in partition.classes for x in cls.members]
-        self.options = [[v - 1 for v in _successor_options(lcn, x + 1)] for x in self.members]
+    def __init__(self, lcn: Lcn) -> None:
+        self.partition = output_partition(lcn)
+        _check_pair_count(cls.size for cls in self.partition.classes)  # before any counting
+        self.succ = _successors(lcn)
+        self.members = [x - 1 for cls in self.partition.classes for x in cls.members]
+        self.options = [self.succ[x] for x in self.members]
         self.naive = prod(len(opts) for opts in self.options)
         self.out = lcn.H.col_indices
 
@@ -220,7 +212,7 @@ class _Problem:
         nums = []
         for i, cls in enumerate(self.partition.classes, start=1):
             try:
-                nums.append(injective_choice_count(self.lcn, self.partition, i))
+                nums.append(injective_choice_count([self.succ[x - 1] for x in cls.members]))
             except RecursionError:
                 raise MatrixSizeError(
                     f"output class {i} of {cls.size} states is too large to count"
@@ -250,14 +242,12 @@ def controller_for_map(lcn: Lcn, successors) -> ClosedLoopController:
     )
 
 
-def enumerate_candidates(lcn: Lcn,
-                         partition: OutputClassPartition | None = None
-                         ) -> Iterator[ClosedLoopController]:
+def enumerate_candidates(lcn: Lcn) -> Iterator[ClosedLoopController]:
     """All within-class-injective closed-loop candidates, one per distinct
     transition map, in lexicographic order of chosen successor values
     (classes in ascending output order, members ascending, values
     ascending). Yields exactly the refined bound."""
-    problem = _Problem(lcn, partition)
+    problem = _Problem(lcn)
     for succ0 in _kernel_py.candidates(problem.members, problem.options, problem.out):
         yield controller_for_map(lcn, [s + 1 for s in succ0])
 
@@ -291,7 +281,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
                                candidates_checked=0, already_observable=True)
 
     pruned: dict[str, int] = {}
-    obstruction = structural_obstruction(lcn)
+    obstruction = structural_obstruction(problem.out, problem.succ)
     if obstruction is not None:
         pruned[obstruction.kind] = 1
     zero_class = next((i + 1 for i, v in enumerate(nums) if v == 0), None)

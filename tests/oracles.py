@@ -98,6 +98,40 @@ def naive_observability_graph_edges(lcn: Lcn):
     return edges
 
 
+def all_pairs_vertices(lcn: Lcn):
+    """The pair graph's vertex list by a scan of every state pair (i, j),
+    i < j, in lexicographic order, keeping those with equal outputs."""
+    n = lcn.state_dim
+    return tuple(
+        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if lcn.output(i) == lcn.output(j)
+    )
+
+
+def all_pairs_obstruction(lcn: Lcn):
+    """The first structural obstruction as ``(kind, j, k, target)``, or None,
+    by a scan of every state pair (j, k), j < k, in lexicographic order:
+    two equal-output states whose blocks are the same constant map
+    ("constant_blocks", checked first) or that constantly map onto the
+    pair itself ("locked_pair", target None)."""
+    n = lcn.state_dim
+    const = []  # constant target of each block, or None
+    for x in range(1, n + 1):
+        cols = set(lcn.block(x).col_indices)
+        const.append(next(iter(cols)) if len(cols) == 1 else None)
+    for j in range(1, n):
+        for k in range(j + 1, n + 1):
+            if lcn.output(j) != lcn.output(k):
+                continue
+            cj, ck = const[j - 1], const[k - 1]
+            if cj is None or ck is None:
+                continue
+            if cj == ck:
+                return ("constant_blocks", j, k, cj)
+            if (cj == j and ck == k) or (cj == k and ck == j):
+                return ("locked_pair", j, k, None)
+    return None
+
+
 def all_closed_loop_maps(lcn: Lcn):
     """Every closed-loop transition map, by brute force over all M^N g's."""
     from lcnsyn.feedback import ClosedLoopController

@@ -42,7 +42,6 @@ from lcnsyn import (
     observability_graph,
     power_reducing_matrix,
     stp,
-    structural_obstruction,
     swap_matrix,
     synthesize_observability,
     transition_graph,
@@ -135,7 +134,7 @@ def test_criterion_4_sink_is_not_synthesizable():
         assert candidate_bounds(nets.SINK42_OUT2)[1] == 0
         report = synthesize_observability(nets.SINK42_OUT2)
         assert report.verdict is Verdict.NOT_SYNTHESIZABLE
-        obs = structural_obstruction(nets.SINK42_OUT2)
+        obs = report.obstruction
         assert obs is not None
         assert (obs.kind, obs.j, obs.k, obs.target) == ("constant_blocks", 1, 2, 1)
 

@@ -1,10 +1,13 @@
 """Graph analyses: adjacency, controllability, observability, DOT export."""
 
+import random
+
 import pytest
 
 import nets
 from conftest import random_lcn
 from oracles import (
+    all_pairs_vertices,
     naive_matmul,
     naive_observability_graph_edges,
     oracle_controllable,
@@ -204,6 +207,14 @@ class TestObservabilityGraph:
                     else:
                         assert {a, b} == set(dst)
                         assert lcn.output(a) == lcn.output(b)
+
+    def test_vertices_match_the_all_pairs_scan(self):
+        # the vertices are listed class by class; the scan of every state
+        # pair is the reference for their set and their lexicographic order
+        rng = random.Random(0x0B5)
+        for _ in range(3000):
+            lcn = random_lcn(rng, n_max=9, m_max=3, q_max=3)
+            assert observability_graph(lcn).vertices == all_pairs_vertices(lcn)
 
 
 class TestIsObservable:

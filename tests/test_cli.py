@@ -199,10 +199,10 @@ class TestBounds:
         calls = []
         count = synthesis.injective_choice_count
         monkeypatch.setattr(synthesis, "injective_choice_count",
-                            lambda lcn, part, i: calls.append(i) or count(lcn, part, i))
+                            lambda options: calls.append(count(options)) or calls[-1])
         code, _doc, _ = run_json(capsys, "bounds", fixtures_dir / "big84.json")
         assert code == 0
-        assert calls == [1, 2]
+        assert calls == [153, 46]
 
     def test_sink(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "bounds", fixtures_dir / "sink42_out2.json")
@@ -282,6 +282,29 @@ def test_class_too_large_to_count_is_an_input_error(capsys, tmp_path, command):
     code, out, err = run(capsys, command, path)
     assert code == 2 and out == ""
     assert err == "error: output class 1 of 1100 states is too large to count\n"
+
+
+# files whose decoding fails with an error other than JSONDecodeError
+MALFORMED = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+    "long_int": b'{"N": ' + b"1" * 5000 + b"}",  # ValueError: past the 4300-digit limit
+    "undecodable": b'\xff\xfe{"N": 1}',  # UnicodeDecodeError while reading the text
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+@pytest.mark.parametrize("argv", [["bounds", "FILE"], ["synthesize", "FILE", "--out", "OUT"],
+                                  ["apply-feedback", "big84.json", "FILE", "--out", "OUT"]],
+                         ids=["bounds", "synthesize", "apply-feedback"])
+def test_undecodable_file_is_an_input_error(capsys, fixtures_dir, tmp_path, argv, name):
+    # as the network file, or as the controller file of apply-feedback
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MALFORMED[name])
+    where = {"FILE": path, "OUT": tmp_path / "out.json", "big84.json": fixtures_dir / "big84.json"}
+    code, out, err = run(capsys, *(where.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_import_loads_no_dataclass_or_typing_machinery(fixtures_dir):

@@ -189,6 +189,8 @@ class TestBenchmarkSurface:
     @pytest.mark.parametrize("module, name", [
         ("lcnsyn._kernel_py", "sweep_first_observable"),
         ("lcnsyn.synthesis", "injective_choice_count"),
+        ("lcnsyn.synthesis", "structural_obstruction"),
+        ("lcnsyn.synthesis", "output_partition"),
     ])
     def test_traced_functions_live_where_the_tracer_looks(self, module, name):
         assert callable(getattr(importlib.import_module(module), name))

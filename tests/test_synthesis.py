@@ -1,12 +1,14 @@
 """Synthesis: partitions, prunes, bounds, enumeration, the full search."""
 
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 import nets
 from conftest import random_lcn
-from oracles import all_closed_loop_maps, all_general_feedbacks
+from oracles import all_closed_loop_maps, all_general_feedbacks, all_pairs_obstruction
 
 from lcnsyn import (
     ClosedLoopController,
@@ -19,18 +21,29 @@ from lcnsyn import (
     candidate_bounds,
     controllability_synthesis_verdict,
     enumerate_candidates,
-    injective_choice_count,
     is_observable,
     logical_identity,
     output_partition,
-    structural_obstruction,
     synthesize_observability,
 )
 from lcnsyn import kernel, synthesis
+from lcnsyn.synthesis import _Problem, injective_choice_count, structural_obstruction
 
 # Two equal-output states each locked onto itself: candidates exist but
 # their shared pair self-loops forever, so synthesis must still fail.
 LOCKED22 = Lcn(2, 2, 1, LogicalMatrix(2, (1, 1, 2, 2)), LogicalMatrix(1, (1, 1)))
+
+
+def obstruction(lcn):
+    """``structural_obstruction`` on the prepared problem, as synthesis calls it."""
+    problem = _Problem(lcn)
+    return structural_obstruction(problem.out, problem.succ)
+
+
+def class_options(lcn, i):
+    """Class i's member option lists, read from the blocks (class index 1-based)."""
+    members = output_partition(lcn).classes[i - 1].members
+    return [sorted(set(lcn.block(x).col_indices)) for x in members]
 
 
 def brute_force_closed_loop_synthesizable(lcn):
@@ -60,33 +73,52 @@ class TestOutputPartition:
 
 class TestStructuralObstruction:
     def test_sink_constant_blocks(self):
-        obs = structural_obstruction(nets.SINK42_OUT2)
+        obs = obstruction(nets.SINK42_OUT2)
         assert obs is not None
         assert (obs.kind, obs.j, obs.k, obs.target) == ("constant_blocks", 1, 2, 1)
 
     def test_big_network_clean(self):
-        assert structural_obstruction(nets.BIG84) is None
+        assert obstruction(nets.BIG84) is None
 
     def test_locked_pair(self):
-        obs = structural_obstruction(LOCKED22)
+        obs = obstruction(LOCKED22)
         assert obs is not None
         assert (obs.kind, obs.j, obs.k) == ("locked_pair", 1, 2)
 
     def test_swapped_locked_pair(self):
         lcn = Lcn(2, 2, 1, LogicalMatrix(2, (2, 2, 1, 1)), LogicalMatrix(1, (1, 1)))
-        obs = structural_obstruction(lcn)
+        obs = obstruction(lcn)
         assert obs is not None and obs.kind == "locked_pair"
 
     def test_unequal_outputs_do_not_trigger(self):
         lcn = Lcn(2, 2, 2, LogicalMatrix(2, (1, 1, 1, 1)), LogicalMatrix(2, (1, 2)))
-        assert structural_obstruction(lcn) is None
+        assert obstruction(lcn) is None
+
+    def test_least_pair_not_least_output_class(self):
+        # both classes are obstructed; output class 1's pair (2, 4) comes
+        # first in class order, but (1, 3) is the least pair
+        lcn = Lcn(4, 1, 2, LogicalMatrix(4, (1, 2, 1, 2)), LogicalMatrix(2, (2, 1, 2, 1)))
+        obs = obstruction(lcn)
+        assert (obs.kind, obs.j, obs.k, obs.target) == ("constant_blocks", 1, 3, 1)
+
+    def test_matches_the_all_pairs_scan(self):
+        # only equal-output pairs of constant-block states are checked,
+        # class by class; the scan of every state pair is the reference
+        rng = random.Random(0x0B57)
+        found = 0
+        for _ in range(3000):
+            lcn = random_lcn(rng, n_max=9, m_max=3, q_max=3)
+            obs = obstruction(lcn)
+            got = None if obs is None else (obs.kind, obs.j, obs.k, obs.target)
+            assert got == all_pairs_obstruction(lcn)
+            found += got is not None
+        assert found > 300
 
 
 class TestInjectiveChoiceCount:
     def test_big_class_counts(self):
-        part = output_partition(nets.BIG84)
-        assert injective_choice_count(nets.BIG84, part, 1) == 153
-        assert injective_choice_count(nets.BIG84, part, 2) == 46
+        assert injective_choice_count(class_options(nets.BIG84, 1)) == 153
+        assert injective_choice_count(class_options(nets.BIG84, 2)) == 46
 
     def test_second_class_by_brute_force(self):
         # options of states 6, 7, 8 enumerated directly
@@ -103,14 +135,12 @@ class TestInjectiveChoiceCount:
         assert count == 153
 
     def test_sink_class_is_empty(self):
-        part = output_partition(nets.SINK42_OUT2)
-        assert injective_choice_count(nets.SINK42_OUT2, part, 1) == 0
+        assert injective_choice_count(class_options(nets.SINK42_OUT2, 1)) == 0
 
     def test_singleton_classes_count_their_options(self):
-        part = output_partition(nets.RING42)
         for i in range(1, 5):
             cols = set(nets.RING42.block(i).col_indices)
-            assert injective_choice_count(nets.RING42, part, i) == len(cols)
+            assert injective_choice_count(class_options(nets.RING42, i)) == len(cols)
 
 
 class TestBounds:
@@ -184,7 +214,7 @@ class TestEnumerateCandidates:
         for _ in range(40):
             lcn = random_lcn(rng)
             part = output_partition(lcn)
-            for ctrl in enumerate_candidates(lcn, part):
+            for ctrl in enumerate_candidates(lcn):
                 fed = apply_feedback(lcn, ctrl)
                 for cls in part.classes:
                     succ = [fed.step(x, 1) for x in cls.members]
@@ -284,9 +314,9 @@ class TestSynthesize:
         calls = []
         count = synthesis.injective_choice_count
         monkeypatch.setattr(synthesis, "injective_choice_count",
-                            lambda lcn, part, i: calls.append(i) or count(lcn, part, i))
+                            lambda options: calls.append(count(options)) or calls[-1])
         func(nets.BIG84)
-        assert calls == [1, 2]
+        assert calls == [153, 46]
 
     def test_oversized_pair_graph_is_refused_before_counting(self, monkeypatch):
         # one output class of 1449 states: 1 049 076 pairs, past CELL_CAP
@@ -294,7 +324,7 @@ class TestSynthesize:
         lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
         calls = []
         monkeypatch.setattr(synthesis, "injective_choice_count",
-                            lambda lcn, part, i: calls.append(i))
+                            lambda options: calls.append(options))
         with pytest.raises(MatrixSizeError, match="1049076 equal-output pairs"):
             synthesize_observability(lcn)
         assert calls == []
@@ -309,25 +339,36 @@ class TestSynthesize:
             func(lcn)
 
     def test_prepares_the_problem_once(self, monkeypatch):
-        # options per state: once for the prepared problem, once in the
-        # per-class count; synthesis builds the pair list, the sweep walks it
-        derived = []
-        options = synthesis._successor_options
-        monkeypatch.setattr(synthesis, "_successor_options",
-                            lambda lcn, x: derived.append(x) or options(lcn, x))
+        # 200 two-state output classes, each state's block {itself, its
+        # partner}: synthesis reads L and H through the prepared problem
+        # only, and no scan of all N(N-1)/2 state pairs asks for outputs
+        n = 400
+        lcn = Lcn(n, 2, n // 2,
+                  LogicalMatrix(n, tuple(v for x in range(1, n + 1)
+                                         for v in (x, x + 1 if x % 2 else x - 1))),
+                  LogicalMatrix(n // 2, tuple((x + 1) // 2 for x in range(1, n + 1))))
+        calls = Counter()
+        for name in ("block", "output"):
+            def counted(self, x, name=name, method=getattr(Lcn, name)):
+                calls[name] += 1
+                return method(self, x)
+            monkeypatch.setattr(Lcn, name, counted)
+        report = synthesize_observability(lcn, max_candidates=1)
+        assert report.num_factors == (2,) * (n // 2)
+        assert (report.verdict, report.candidates_checked) == (Verdict.DECISION_INCOMPLETE, 1)
+        assert calls["block"] == 0
+        assert calls["output"] <= 2 * n
+
+        # synthesis builds the pair list, the sweep walks it
         swept = []
         sweep = synthesis._kernel_py.sweep_first_observable
         monkeypatch.setattr(synthesis._kernel_py, "sweep_first_observable",
                             lambda *a: swept.append(a) or sweep(*a))
-        assert synthesize_observability(nets.BIG84).candidates_checked == 829
-        assert sorted(derived) == sorted(2 * list(range(1, 9)))
-
         built = []
         pairs = synthesis._Problem.equal_output_pairs
         monkeypatch.setattr(synthesis._Problem, "equal_output_pairs",
                             lambda self: built.append(pairs(self)) or built[-1])
-        swept.clear()
-        synthesize_observability(nets.BIG84)
+        assert synthesize_observability(nets.BIG84).candidates_checked == 829
         [args] = swept
         assert built == [args[3]] and built[0] is args[3]
 
