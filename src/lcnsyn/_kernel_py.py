@@ -19,13 +19,14 @@ the chosen values along ``members``. One iterative walker,
 returned as the tuple of 1-based successors indexed by state (position
 s-1 = successor of state s).
 
-A leaf is checked by ``_unsafe_pair`` over ``pairs``. The check walks
-first a hint: the pair whose walk doomed the previous leaf. A walk
-depends only on the successors of the states it passes through, and
-consecutive leaves differ mostly in their last positions, so that pair
-usually dooms the next leaf too and the check ends after a few steps
-instead of a scan of every pair. The verdict still covers every pair,
-so the hint changes how soon an unsafe pair is found, never a result.
+A leaf is checked by ``_unsafe_pair`` over ``pairs``, with walk marks
+kept in a dict of only the pairs its walks touch. The check walks first
+a hint: the pair whose walk doomed the previous leaf. A walk depends
+only on the successors of the states it passes through, and consecutive
+leaves differ mostly in their last positions, so that pair usually
+dooms the next leaf too and the check ends after a few steps instead of
+a scan of every pair. The verdict still covers every pair, so the hint
+changes how soon an unsafe pair is found, never a result.
 """
 
 from __future__ import annotations
@@ -45,19 +46,20 @@ def _unsafe_pair(succ0, out, pairs, hint: int) -> int:
     Each equal-output pair has at most one outgoing edge, so the pair
     graph is functional: walk it from ``pairs[hint]`` first, then from
     every pair in order, marking pairs safe (dead end, no cycle ahead)
-    until a walk merges or closes a cycle. ``status`` codes: 0 unknown,
-    1 on the current walk, 2 safe.
+    until a walk merges or closes a cycle. ``status`` maps each pair the
+    walks touched, keyed ``ci * n + cj``, to 1 (on the current walk) or
+    2 (safe); an absent pair is unknown.
     """
     if not pairs:
         return -1
     n = len(out)
-    status = bytearray(n * n)
+    status: dict[int, int] = {}
     for k in chain((hint,), range(len(pairs))):
         ci, cj = pairs[k]
         path = []
         while True:
             idx = ci * n + cj
-            st = status[idx]
+            st = status.get(idx)
             if st == 1:
                 return k  # the walk closed a cycle
             if st:

@@ -17,12 +17,14 @@ irrelevant to the decision). The network is unobservable exactly when
 some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
 
-Both decisions walk one integer adjacency. Observability takes one pass
-over Tarjan's strongly connected components in emission order: Tarjan
-emits a component only after every component it can reach, so a
-component reaches a cycle exactly when it is cyclic itself (two or more
-vertices, or a self-loop) or one of its successors was already found to
-reach one. The least pair that reaches a cycle is the witness.
+Both decisions walk one integer adjacency and read Tarjan's strongly
+connected components, which it emits only after every component they
+reach. So the last one has no predecessor: the controllability witness
+source is the greatest state outside it if it reaches every state, and
+state N otherwise. A component reaches a cycle exactly when it is cyclic
+itself (two or more vertices, or a self-loop) or one of its successors
+was found to reach one; the least pair that does is the observability
+witness.
 """
 
 from __future__ import annotations
@@ -161,10 +163,8 @@ def transition_graph(lcn: Lcn) -> StateTransitionGraph:
     n, m = lcn.state_dim, lcn.input_dim
     _check_cells(n, n)
     counts = [0] * (n * n)
-    for x in range(1, n + 1):
-        for u in range(1, m + 1):
-            t = lcn.step(x, u)
-            counts[(t - 1) * n + (x - 1)] += 1
+    for k, t in enumerate(lcn.L.col_indices):
+        counts[(t - 1) * n + k // m] += 1
     return StateTransitionGraph(n, DenseMatrix(n, n, tuple(counts)))
 
 
@@ -246,19 +246,21 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
 
     The failure witness is deterministic: among all (source, target)
     pairs with no path, the one with the greatest source and, for that
-    source, the least target.
+    source, the least target. Only the last Tarjan component can reach
+    every state; if it does, that source is the greatest state outside
+    it, and otherwise state N.
     """
     n = lcn.state_dim
     succs = _successors(lcn)
-    if len(_strong_components(succs)) == 1:
+    components = _strong_components(succs)
+    if len(components) == 1:
         return ControllabilityResult(True, None)
-    for src in range(n - 1, -1, -1):
-        reach = _reach_set(succs, src)
-        if len(reach) == n:
-            continue
-        tgt = min(t for t in range(n) if t not in reach)
-        return ControllabilityResult(False, (src + 1, tgt + 1))
-    raise AssertionError("unreachable: >1 SCC implies a failing pair")
+    last = components[-1]  # no predecessor: only its states can reach every state
+    src = n - 1
+    if len(_reach_set(succs, last[0])) == n:
+        src = max(set(range(n)).difference(last))
+    tgt = min(set(range(n)).difference(_reach_set(succs, src)))
+    return ControllabilityResult(False, (src + 1, tgt + 1))
 
 
 def _check_pair_count(class_sizes) -> None:

@@ -55,25 +55,24 @@ def _obs_witness_doc(witness):
     }
 
 
-def _obs_witness_text(witness, lcn) -> str:
+def _obs_witness_text(witness, graph) -> str:
     path = list(witness.path)
     entry = witness.cycle_entry
-    # DIAG always loops; a pair loops when some input maps it onto itself
-    if entry is DIAG or any({lcn.step(entry[0], u), lcn.step(entry[1], u)} == set(entry)
-                            for u in range(1, lcn.input_dim + 1)):
+    if any(src == entry == dst for src, dst, _w in graph.edges):  # a self-loop closes the path
         path.append(entry)
     return " -> ".join(_pair_name(v, v is not DIAG and max(v) > 9) for v in path)
 
 
 def cmd_check_controllability(args) -> int:
     lcn = files.load_network(args.network)
+    adjacency = transition_graph(lcn).adjacency  # refuses an over-cap network first
     result = is_controllable(lcn)
     doc = {
         "controllable": result.controllable,
         "witness": None
         if result.witness is None
         else {"source": result.witness[0], "target": result.witness[1]},
-        "adjacency": transition_graph(lcn).adjacency.to_rows(),
+        "adjacency": adjacency.to_rows(),
     }
     _print_report(doc, args.format)
     return EXIT_OK if result.controllable else EXIT_NEGATIVE
@@ -85,7 +84,7 @@ def cmd_check_observability(args) -> int:
     result = graph._decide()
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
     if result.witness is not None and args.format == "text":
-        doc["witness_path"] = _obs_witness_text(result.witness, lcn)
+        doc["witness_path"] = _obs_witness_text(result.witness, graph)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(graph))

@@ -227,18 +227,12 @@ def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     return problem.naive, prod(problem.class_counts())
 
 
-def _min_input_for(lcn: Lcn, state: int, target: int) -> int:
-    for u in range(1, lcn.input_dim + 1):
-        if lcn.step(state, u) == target:
-            return u
-    raise ValueError(f"state {state} never reaches {target}")
-
-
 def controller_for_map(lcn: Lcn, successors) -> ClosedLoopController:
     """Canonical closed loop realizing a transition map: per state, the
     least input producing the wanted successor."""
+    m, cols = lcn.input_dim, lcn.L.col_indices
     return ClosedLoopController(
-        tuple(_min_input_for(lcn, x, t) for x, t in enumerate(successors, start=1))
+        tuple(cols.index(t, x * m, (x + 1) * m) - x * m + 1 for x, t in enumerate(successors))
     )
 
 

@@ -62,6 +62,26 @@ def oracle_controllable(lcn: Lcn) -> bool:
     return True
 
 
+def all_sources_controllability_witness(lcn: Lcn):
+    """``(controllable, witness)`` by BFS from every source, the greatest
+    first: the witness is the first source that misses a state, with the
+    least state it misses, or None when every source reaches every state."""
+    n, m = lcn.state_dim, lcn.input_dim
+    for src in range(n, 0, -1):
+        seen = {src}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            for u in range(1, m + 1):
+                t = lcn.step(x, u)
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        if len(seen) < n:
+            return False, (src, min(t for t in range(1, n + 1) if t not in seen))
+    return True, None
+
+
 def naive_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     assert a.cols == b.rows
     rows = []

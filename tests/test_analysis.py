@@ -8,6 +8,7 @@ import nets
 from conftest import random_lcn
 from oracles import (
     all_pairs_vertices,
+    all_sources_controllability_witness,
     naive_matmul,
     naive_observability_graph_edges,
     oracle_controllable,
@@ -21,6 +22,7 @@ from lcnsyn import (
     Lcn,
     LogicalMatrix,
     MatrixSizeError,
+    analysis,
     expand,
     export_dot,
     is_controllable,
@@ -144,6 +146,28 @@ class TestIsControllable:
                         seen.add(t)
                         frontier.append(t)
             assert tgt not in seen
+
+    def test_witness_matches_the_all_sources_search(self):
+        rng = random.Random(0xC0417)
+        for _ in range(20_000):
+            lcn = random_lcn(rng, n_max=9, m_max=3, q_max=1)
+            res = is_controllable(lcn)
+            assert (res.controllable, res.witness) == all_sources_controllability_witness(lcn)
+
+    def test_witness_takes_at_most_two_searches(self, monkeypatch):
+        # a ring over states 2..N where every state may also step into the
+        # sink state 1: every source but 1 reaches everything
+        n = 3000
+        cols = [1, 1]
+        for x in range(2, n + 1):
+            cols += [x + 1 if x < n else 2, 1]
+        lcn = Lcn(n, 2, 1, LogicalMatrix(n, tuple(cols)), LogicalMatrix(1, (1,) * n))
+        calls = []
+        reach_set = analysis._reach_set
+        monkeypatch.setattr(analysis, "_reach_set",
+                            lambda succs, src: calls.append(src) or reach_set(succs, src))
+        assert is_controllable(lcn).witness == (1, 2)
+        assert len(calls) <= 2
 
 
 class TestObservabilityGraph:

@@ -380,8 +380,13 @@ def test_help_lists_subcommands_and_options(capsys):
 @pytest.mark.parametrize("argv", [["check-controllability"], ["export-graph"],
                                   ["export-graph", "--graph", "transition"]],
                          ids=lambda argv: "-".join(argv))
-def test_oversized_transition_graph_is_an_input_error(capsys, tmp_path, argv):
-    # a 1025-state ring has 1025 * 1025 = 1 050 625 adjacency cells, past CELL_CAP
+def test_oversized_transition_graph_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
+    # a 1025-state ring has 1025 * 1025 = 1 050 625 adjacency cells, past CELL_CAP;
+    # it is refused before any decision work
+    def decided(lcn):
+        raise AssertionError("is_controllable ran before the cap check")
+
+    monkeypatch.setattr(cli, "is_controllable", decided)
     n = 1025
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": [*range(2, n + 1), 1],

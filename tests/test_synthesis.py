@@ -1,6 +1,7 @@
 """Synthesis: partitions, prunes, bounds, enumeration, the full search."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -44,6 +45,15 @@ def class_options(lcn, i):
     """Class i's member option lists, read from the blocks (class index 1-based)."""
     members = output_partition(lcn).classes[i - 1].members
     return [sorted(set(lcn.block(x).col_indices)) for x in members]
+
+
+def paired_classes(n):
+    """n/2 two-state output classes {2i-1, 2i}, each state's block {the
+    state, its partner}."""
+    return Lcn(n, 2, n // 2,
+               LogicalMatrix(n, tuple(v for x in range(1, n + 1)
+                                      for v in (x, x + 1 if x % 2 else x - 1))),
+               LogicalMatrix(n // 2, tuple((x + 1) // 2 for x in range(1, n + 1))))
 
 
 def brute_force_closed_loop_synthesizable(lcn):
@@ -339,14 +349,10 @@ class TestSynthesize:
             func(lcn)
 
     def test_prepares_the_problem_once(self, monkeypatch):
-        # 200 two-state output classes, each state's block {itself, its
-        # partner}: synthesis reads L and H through the prepared problem
-        # only, and no scan of all N(N-1)/2 state pairs asks for outputs
+        # synthesis reads L and H through the prepared problem only, and no
+        # scan of all N(N-1)/2 state pairs asks for outputs
         n = 400
-        lcn = Lcn(n, 2, n // 2,
-                  LogicalMatrix(n, tuple(v for x in range(1, n + 1)
-                                         for v in (x, x + 1 if x % 2 else x - 1))),
-                  LogicalMatrix(n // 2, tuple((x + 1) // 2 for x in range(1, n + 1))))
+        lcn = paired_classes(n)
         calls = Counter()
         for name in ("block", "output"):
             def counted(self, x, name=name, method=getattr(Lcn, name)):
@@ -371,6 +377,24 @@ class TestSynthesize:
         assert synthesize_observability(nets.BIG84).candidates_checked == 829
         [args] = swept
         assert built == [args[3]] and built[0] is args[3]
+
+    def test_leaf_check_memory_does_not_grow_with_n_squared(self):
+        # every leaf is unsafe (each pair can loop onto itself), so the
+        # sweep checks 20 leaves; their walk marks must not cost N^2 bytes
+        n = 2000
+        lcn = paired_classes(n)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cap in (0, 20):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                report = synthesize_observability(lcn, max_candidates=cap)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                assert report.candidates_checked == cap
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < n * n // 4
 
     def test_merging_equal_output_states_is_always_unobservable(self, rng):
         # the fact behind within-class injectivity: g mapping two
