@@ -1,10 +1,10 @@
 """Graph analyses: controllability and observability decisions.
 
 Controllability reduces to strong connectivity of the state transition
-graph, whose adjacency matrix has the closed form ``[L_1 1_M, ...,
-L_N 1_M]`` (column x counts, per target state, the inputs driving x
-there). The decision reads each state's successors straight from its
-block ``L_x``.
+graph. The decision reads each state's successors straight from its
+block ``L_x``, and :func:`transition_graph` lists the graph's edges with
+their input multiplicities; the closed-form adjacency ``[L_1 1_M, ...,
+L_N 1_M]`` is built from those edges only on request.
 
 Observability uses the pair graph on unordered equal-output state pairs
 ``{x, x'}``: an input u induces an edge to ``{f(x,u), f(x',u)}`` when
@@ -17,7 +17,7 @@ irrelevant to the decision). The network is unobservable exactly when
 some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
 
-Both decisions walk one integer adjacency and read Tarjan's strongly
+Both decisions walk integer successor lists and read Tarjan's strongly
 connected components, which it emits only after every component they
 reach. So the last one has no predecessor: the controllability witness
 source is the greatest state outside it if it reaches every state, and
@@ -29,7 +29,7 @@ witness.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 from ._value import Value
@@ -57,18 +57,31 @@ def _vertex_key(v):
 
 
 class StateTransitionGraph(Value):
-    """State transition graph as an N x N count matrix.
-
-    ``adjacency.entry(i, j)`` is the number of inputs driving state j to
-    state i; positive means the edge j -> i exists. Column sums all
-    equal the input count M.
+    """State transition graph on states 1..N as ``edges``, sorted
+    ``(src, dst, multiplicity)`` triples: ``multiplicity`` inputs drive
+    ``src`` to ``dst``. Each state's multiplicities sum to the input
+    count M.
     """
 
-    __slots__ = ("n_vertices", "adjacency")
+    __slots__ = ("n_vertices", "edges")
 
-    def __init__(self, n_vertices: int, adjacency: DenseMatrix) -> None:
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, int], ...]) -> None:
         object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def adjacency(self) -> DenseMatrix:
+        """The closed form ``[L_1 1_M, ..., L_N 1_M]``: ``entry(i, j)`` is
+        the number of inputs driving state j to state i.
+
+        Raises :class:`MatrixSizeError` when its N*N cells exceed :data:`CELL_CAP`.
+        """
+        n = self.n_vertices
+        _check_cells(n, n)
+        counts = [0] * (n * n)
+        for src, dst, c in self.edges:
+            counts[(dst - 1) * n + src - 1] = c
+        return DenseMatrix(n, n, tuple(counts))
 
 
 class ObservabilityGraph(Value):
@@ -156,16 +169,13 @@ class ObservabilityResult(Value):
 
 
 def transition_graph(lcn: Lcn) -> StateTransitionGraph:
-    """Adjacency ``[L_1 1_M, ..., L_N 1_M]`` of the transition graph.
-
-    Raises :class:`MatrixSizeError` when its N*N cells exceed :data:`CELL_CAP`.
-    """
-    n, m = lcn.state_dim, lcn.input_dim
-    _check_cells(n, n)
-    counts = [0] * (n * n)
-    for k, t in enumerate(lcn.L.col_indices):
-        counts[(t - 1) * n + k // m] += 1
-    return StateTransitionGraph(n, DenseMatrix(n, n, tuple(counts)))
+    """The transition graph's edges, counted from each block ``L_x`` in O(N*M)."""
+    m, cols = lcn.input_dim, lcn.L.col_indices
+    edges = []
+    for x in range(lcn.state_dim):
+        block = Counter(cols[x * m:(x + 1) * m])
+        edges.extend((x + 1, t, c) for t, c in sorted(block.items()))
+    return StateTransitionGraph(lcn.state_dim, tuple(edges))
 
 
 def _strong_components(succs: list[list[int]]) -> list[list[int]]:
@@ -318,22 +328,16 @@ def _pair_name(v: Vertex, wide: bool) -> str:
 def export_dot(graph: StateTransitionGraph | ObservabilityGraph) -> str:
     """Deterministic Graphviz DOT text for either graph kind.
 
-    Observability graphs sort pair vertices lexicographically with DIAG
-    last and label edges with the comma-joined input indices of their
-    weight; transition graphs label edges with their input multiplicity.
+    Both kinds write their edges in their sorted order. Observability
+    graphs sort pair vertices lexicographically with DIAG last and label
+    edges with the comma-joined input indices of their weight; transition
+    graphs label edges with their input multiplicity.
     """
     lines: list[str] = []
     if isinstance(graph, StateTransitionGraph):
-        n = graph.n_vertices
         lines.append("digraph transitions {")
-        for v in range(1, n + 1):
-            lines.append(f'  "{v}";')
-        adj = graph.adjacency
-        for src in range(1, n + 1):
-            for tgt in range(1, n + 1):
-                c = adj.entry(tgt, src)
-                if c > 0:
-                    lines.append(f'  "{src}" -> "{tgt}" [label="{c}"];')
+        lines.extend(f'  "{v}";' for v in range(1, graph.n_vertices + 1))
+        lines.extend(f'  "{src}" -> "{dst}" [label="{c}"];' for src, dst, c in graph.edges)
     else:
         wide = any(j > 9 for _i, j in graph.vertices)
         lines.append("digraph observability {")

@@ -64,15 +64,12 @@ def _obs_witness_text(witness, graph) -> str:
 
 
 def cmd_check_controllability(args) -> int:
-    lcn = files.load_network(args.network)
-    adjacency = transition_graph(lcn).adjacency  # refuses an over-cap network first
-    result = is_controllable(lcn)
+    result = is_controllable(files.load_network(args.network))
     doc = {
         "controllable": result.controllable,
         "witness": None
         if result.witness is None
         else {"source": result.witness[0], "target": result.witness[1]},
-        "adjacency": adjacency.to_rows(),
     }
     _print_report(doc, args.format)
     return EXIT_OK if result.controllable else EXIT_NEGATIVE

@@ -80,10 +80,6 @@ class DenseMatrix(Value):
         flat = tuple(v for r in rows for v in r)
         return DenseMatrix(n, m, flat)
 
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
     def entry(self, i: int, j: int) -> int:
         """Entry at row ``i``, column ``j`` (1-based)."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):

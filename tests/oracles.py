@@ -93,6 +93,23 @@ def naive_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix.from_rows(rows)
 
 
+def transition_dot_from_adjacency(adj: DenseMatrix) -> str:
+    """Transition-graph DOT text from an N x N adjacency, whose entry
+    (i, j) counts the inputs driving state j to state i: every state,
+    then one edge per positive entry, sources and targets ascending."""
+    n = adj.rows
+    lines = ["digraph transitions {"]
+    for v in range(1, n + 1):
+        lines.append(f'  "{v}";')
+    for src in range(1, n + 1):
+        for tgt in range(1, n + 1):
+            c = adj.entry(tgt, src)
+            if c > 0:
+                lines.append(f'  "{src}" -> "{tgt}" [label="{c}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def naive_observability_graph_edges(lcn: Lcn):
     """Edge set (src, dst, weight) recomputed straight from the definition."""
     n, m = lcn.state_dim, lcn.input_dim

@@ -13,6 +13,7 @@ from oracles import (
     naive_observability_graph_edges,
     oracle_controllable,
     oracle_observable,
+    transition_dot_from_adjacency,
 )
 
 from lcnsyn import (
@@ -33,6 +34,7 @@ from lcnsyn import (
     swap_matrix,
     transition_graph,
 )
+from lcnsyn.files import load_network
 
 # Pair-graph edge sets of the two closed loops of the 8-state network,
 # frozen from working the definition by hand.
@@ -61,6 +63,13 @@ MIX_EDGES = {
 BIG_PAIRS = tuple(
     sorted([(i, j) for i in range(1, 5) for j in range(i + 1, 6)] + [(6, 7), (6, 8), (7, 8)])
 )
+
+
+def _adjacency_via_stp(lcn):
+    """The transition adjacency evaluated as ``L stp W_[M,N] stp 1_M``."""
+    n, m = lcn.state_dim, lcn.input_dim
+    ones = DenseMatrix(m, 1, (1,) * m)
+    return stp(stp(expand(lcn.L), expand(swap_matrix(m, n))), ones)
 
 
 class TestTransitionGraph:
@@ -92,22 +101,23 @@ class TestTransitionGraph:
     @pytest.mark.parametrize("m", range(1, 5))
     def test_closed_form_equals_stp_evaluation(self, n, m):
         # [L_1 1_M, ..., L_N 1_M] == L stp W_[M,N] stp 1_M for every dim pair
-        rng = __import__("random").Random(n * 31 + m)
-        ones = DenseMatrix(m, 1, (1,) * m)
+        rng = random.Random(n * 31 + m)
         for _ in range(5):
             lcn = Lcn(n, m, 1,
                       LogicalMatrix(n, tuple(rng.randint(1, n) for _ in range(n * m))),
                       LogicalMatrix(1, (1,) * n))
-            via_stp = stp(stp(expand(lcn.L), expand(swap_matrix(m, n))), ones)
-            assert transition_graph(lcn).adjacency == via_stp
+            assert transition_graph(lcn).adjacency == _adjacency_via_stp(lcn)
 
     def test_refuses_more_cells_than_the_cell_cap(self):
-        # a 1025-state single-input ring: 1025 * 1025 = 1 050 625 adjacency cells
+        # a 1025-state single-input ring: 1025 * 1025 = 1 050 625 adjacency cells;
+        # the edge list has one edge per state, only the closed form is refused
         n = 1025
         lcn = Lcn(n, 1, 1, LogicalMatrix(n, (*range(2, n + 1), 1)), LogicalMatrix(1, (1,) * n))
         assert n * n > CELL_CAP
+        graph = transition_graph(lcn)
+        assert graph.edges == tuple((x, x % n + 1, 1) for x in range(1, n + 1))
         with pytest.raises(MatrixSizeError, match="1025x1025 matrix .* exceeds cap"):
-            transition_graph(lcn)
+            graph.adjacency
         assert is_controllable(lcn).controllable  # reads L, not the adjacency
 
 
@@ -331,6 +341,17 @@ class TestExportDot:
     def test_transition_graph_dot(self):
         text = export_dot(transition_graph(nets.RING42))
         assert '"1" -> "2" [label="2"];' in text
+
+    def test_transition_dot_equals_the_adjacency_writer(self, fixtures_dir):
+        # the edge-list writer against an N x N scan of the STP closed form
+        rng = random.Random(0x7D07)
+        lcns = [random_lcn(rng, n_max=9, m_max=3, q_max=3) for _ in range(2000)]
+        lcns += [load_network(p) for p in sorted(fixtures_dir.glob("*.json"))
+                 if not p.name.startswith(("ctrl_", "bad_"))]
+        assert len(lcns) == 2010
+        for lcn in lcns:
+            expected = transition_dot_from_adjacency(_adjacency_via_stp(lcn))
+            assert export_dot(transition_graph(lcn)) == expected
 
     def test_deterministic(self):
         a = export_dot(observability_graph(nets.BIG84_CL_MIX))

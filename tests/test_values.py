@@ -36,8 +36,7 @@ CASES = [
     (StateFeedback, {"state_dim": 2, "input_dim": 2, "new_input_dim": 1, "G": M},
      ("new_input_dim", 2)),
     (ClosedLoopController, {"g": (1, 2)}, ("g", (2, 1))),
-    (StateTransitionGraph, {"n_vertices": 1, "adjacency": DenseMatrix(1, 1, (1,))},
-     ("n_vertices", 2)),
+    (StateTransitionGraph, {"n_vertices": 1, "edges": ((1, 1, 1),)}, ("edges", ())),
     (ObservabilityGraph, {"vertices": ((1, 2),),
                           "edges": (((1, 2), DIAG, (1,)), (DIAG, DIAG, (1,))), "n_inputs": 1},
      ("n_inputs", 2)),
