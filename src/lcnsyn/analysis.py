@@ -17,14 +17,16 @@ irrelevant to the decision). The network is unobservable exactly when
 some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
 
-Both decisions walk integer successor lists and read Tarjan's strongly
-connected components, which it emits only after every component they
-reach. So the last one has no predecessor: the controllability witness
-source is the greatest state outside it if it reaches every state, and
-state N otherwise. A component reaches a cycle exactly when it is cyclic
-itself (two or more vertices, or a self-loop) or one of its successors
-was found to reach one; the least pair that does is the observability
-witness.
+Both decisions read successors straight from ``L`` and Tarjan's
+strongly connected components, which it emits only after every
+component they reach. So the last one has no predecessor: the
+controllability witness source is the greatest state outside it if it
+reaches every state, and state N otherwise. :func:`is_observable` takes
+the pairs in lexicographic order and explores, breadth first, only what
+each one reaches, leaving out the pairs already known to reach no cycle;
+a component is cyclic when it has two or more vertices or a self-loop.
+Only :func:`observability_graph`, the DOT text's source, materialises
+the pair graph, and it refuses more than :data:`CELL_CAP` pairs.
 """
 
 from __future__ import annotations
@@ -95,39 +97,6 @@ class ObservabilityGraph(Value):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "n_inputs", n_inputs)
-
-    def _decide(self) -> ObservabilityResult:
-        """The verdict and witness of :func:`is_observable`, read from
-        this graph."""
-        verts = [*self.vertices, DIAG]
-        pos = {v: k for k, v in enumerate(verts)}
-        succs: list[list[int]] = [[] for _ in verts]
-        for src, dst, _w in self.edges:  # sorted edges: each list ascends
-            succs[pos[src]].append(pos[dst])
-        cyclic = [False] * len(verts)
-        bad = [False] * len(verts)  # reaches a cyclic vertex
-        for comp in _strong_components(succs):
-            on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
-            reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
-            for v in comp:
-                cyclic[v], bad[v] = on_cycle, reaches
-        start = bad.index(True)
-        if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
-            return ObservabilityResult(True, None)
-        # shortest path from the least bad pair to a cyclic vertex
-        parent: dict = {start: None}
-        queue = deque([start])
-        while not cyclic[v := queue.popleft()]:
-            for w in succs[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        path = []
-        while v is not None:
-            path.append(verts[v])
-            v = parent[v]
-        path.reverse()
-        return ObservabilityResult(False, ObservabilityWitness(path[0], tuple(path), path[-1]))
 
 
 class ControllabilityResult(Value):
@@ -283,6 +252,19 @@ def _check_pair_count(class_sizes) -> None:
         )
 
 
+def _pair_targets(m: int, cols, out, i: int, j: int) -> dict:
+    """Where input u takes pair (i, j): each target, DIAG for a merged
+    pair, with its inputs ascending. Targets with unequal outputs have no edge."""
+    inputs: dict = {}
+    for u in range(m):
+        a, b = cols[(i - 1) * m + u], cols[(j - 1) * m + u]
+        if a == b:
+            inputs.setdefault(DIAG, []).append(u + 1)
+        elif out[a - 1] == out[b - 1]:
+            inputs.setdefault((a, b) if a < b else (b, a), []).append(u + 1)
+    return inputs
+
+
 def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     """Pair graph on equal-output state pairs, diagonal collapsed to DIAG.
 
@@ -295,14 +277,7 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     vertices = tuple(sorted(pair for members in classes for pair in combinations(members, 2)))
     edges = []
     for src in vertices:
-        i, j = src
-        inputs: dict = {}  # target -> the inputs leading there, ascending
-        for u in range(m):
-            a, b = cols[(i - 1) * m + u], cols[(j - 1) * m + u]
-            if a == b:
-                inputs.setdefault(DIAG, []).append(u + 1)
-            elif out[a - 1] == out[b - 1]:  # else distinguishable: no edge
-                inputs.setdefault((a, b) if a < b else (b, a), []).append(u + 1)
+        inputs = _pair_targets(m, cols, out, *src)
         edges.extend((src, t, tuple(inputs[t])) for t in sorted(inputs, key=_vertex_key))
     edges.append((DIAG, DIAG, tuple(range(1, m + 1))))
     return ObservabilityGraph(vertices, tuple(edges), m)
@@ -315,7 +290,34 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     lexicographically) together with its shortest path to a cyclic
     vertex; BFS ties are broken by vertex order, DIAG last.
     """
-    return observability_graph(lcn)._decide()
+    m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
+    members = dict(_output_classes(lcn))  # output -> its states ascending: pairs come sorted
+    pairs = ((i, j) for i in range(1, lcn.state_dim + 1) for j in members[out[i - 1]] if j > i)
+    safe: set = set()  # pairs that reach no cycle
+    for root in pairs:
+        if root in safe:
+            continue
+        verts, pos, parent, succs = [root], {root: 0}, [None], []
+        for k, v in enumerate(verts):  # breadth first over what root reaches, safe pairs aside
+            targets = [v] if v is DIAG else _pair_targets(m, cols, out, *v)
+            targets = sorted(targets, key=_vertex_key)
+            for t in targets:
+                if t not in pos and t not in safe:
+                    pos[t] = len(verts)
+                    verts.append(t)
+                    parent.append(k)
+            succs.append([pos[t] for t in targets if t in pos])
+        cyclic = [min(c) for c in _strong_components(succs) if len(c) > 1 or c[0] in succs[c[0]]]
+        if not cyclic:
+            safe.update(verts)
+            continue
+        path, k = [], min(cyclic)  # BFS discovers vertices in order of distance
+        while k is not None:
+            path.append(verts[k])
+            k = parent[k]
+        path.reverse()
+        return ObservabilityResult(False, ObservabilityWitness(root, tuple(path), path[-1]))
+    return ObservabilityResult(True, None)
 
 
 def _pair_name(v: Vertex, wide: bool) -> str:

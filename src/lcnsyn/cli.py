@@ -18,8 +18,10 @@ from . import files
 from .analysis import (
     DIAG,
     _pair_name,
+    _pair_targets,
     export_dot,
     is_controllable,
+    is_observable,
     observability_graph,
     transition_graph,
 )
@@ -55,10 +57,11 @@ def _obs_witness_doc(witness):
     }
 
 
-def _obs_witness_text(witness, graph) -> str:
+def _obs_witness_text(witness, lcn) -> str:
     path = list(witness.path)
     entry = witness.cycle_entry
-    if any(src == entry == dst for src, dst, _w in graph.edges):  # a self-loop closes the path
+    m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
+    if entry is DIAG or entry in _pair_targets(m, cols, out, *entry):  # a self-loop closes it
         path.append(entry)
     return " -> ".join(_pair_name(v, v is not DIAG and max(v) > 9) for v in path)
 
@@ -77,12 +80,12 @@ def cmd_check_controllability(args) -> int:
 
 def cmd_check_observability(args) -> int:
     lcn = files.load_network(args.network)
-    graph = observability_graph(lcn)  # one pair graph for the verdict and the DOT text
-    result = graph._decide()
+    graph = args.dot and observability_graph(lcn)  # first: an over-cap --dot exits 2 at once
+    result = is_observable(lcn)
     doc = {"observable": result.observable, "witness": _obs_witness_doc(result.witness)}
     if result.witness is not None and args.format == "text":
-        doc["witness_path"] = _obs_witness_text(result.witness, graph)
-    if args.dot:
+        doc["witness_path"] = _obs_witness_text(result.witness, lcn)
+    if graph:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(graph))
     _print_report(doc, args.format)

@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 
 from .feedback import ClosedLoopController
-from .model import Lcn, StateFeedback, from_truth_table, validate
+from .model import MISSING_H, Lcn, StateFeedback, from_truth_table, validate
 from .stp import LogicalMatrix, logical_identity
 
 
@@ -106,6 +106,8 @@ def network_from_dict(doc: dict) -> Lcn:
         lmat, hmat = LogicalMatrix(n, lcols), None if hcols is None else LogicalMatrix(q, hcols)
     factor_args = (factors["state_factors"], factors["input_factors"], factors["output_factors"])
     violations = validate(Lcn(n, m, q, lmat, hmat, *factor_args))
+    if hmat is None:  # the identity stands in for it; see above
+        violations.remove(MISSING_H)
     if violations:
         raise FileFormatError(violations)
     return Lcn(n, m, q, lmat, logical_identity(n) if hmat is None else hmat, *factor_args)

@@ -108,12 +108,12 @@ def _check_factors(label: str, factors, dim: int, out: list[str]) -> None:
         out.append(f"product of {label} {list(factors)} != {dim}")
 
 
-def validate(lcn: Lcn) -> list[str]:
-    """Check every model invariant; return all violations (empty = ok).
+#: The violation :func:`validate` reports for a network without ``H``.
+MISSING_H = "H is missing; full state observation is logical_identity(N)"
 
-    An ``H`` of ``None`` stands for the identity output, which a network
-    file may omit; it is valid by construction and is not checked.
-    """
+
+def validate(lcn: Lcn) -> list[str]:
+    """Check every model invariant; return all violations (empty = ok)."""
     v: list[str] = []
     n, m, q = lcn.state_dim, lcn.input_dim, lcn.output_dim
     if n < 1 or m < 1 or q < 1:
@@ -126,7 +126,9 @@ def validate(lcn: Lcn) -> list[str]:
     for j, t in enumerate(lcn.L.col_indices, start=1):
         if not (1 <= t <= n):
             v.append(f"L index out of range: column {j} targets {t}, not in [1, {n}]")
-    if lcn.H is not None:
+    if lcn.H is None:
+        v.append(MISSING_H)
+    else:
         if lcn.H.rows != q:
             v.append(f"H row dimension {lcn.H.rows} != {q}")
         if lcn.H.cols != n:

@@ -10,7 +10,8 @@ paths have something independent to agree with.
 from collections import deque
 from itertools import product
 
-from lcnsyn import DIAG, Lcn
+from lcnsyn import DIAG, Lcn, ObservabilityResult, ObservabilityWitness, observability_graph
+from lcnsyn.analysis import _strong_components
 from lcnsyn.feedback import apply_feedback
 from lcnsyn.model import StateFeedback
 from lcnsyn.stp import DenseMatrix, LogicalMatrix
@@ -133,6 +134,42 @@ def naive_observability_graph_edges(lcn: Lcn):
     edges = {(src, dst, tuple(sorted(ws))) for (src, dst), ws in weights.items()}
     edges.add((DIAG, DIAG, tuple(range(1, m + 1))))
     return edges
+
+
+def graph_observability(lcn: Lcn) -> ObservabilityResult:
+    """``is_observable``'s verdict and witness read off the whole
+    materialised pair graph: mark every vertex that reaches a cyclic one
+    from Tarjan's components, take the least such pair, and run a BFS
+    from it to the nearest cyclic vertex, ties broken by edge order."""
+    graph = observability_graph(lcn)
+    verts = [*graph.vertices, DIAG]
+    pos = {v: k for k, v in enumerate(verts)}
+    succs = [[] for _ in verts]
+    for src, dst, _w in graph.edges:  # sorted edges: each list ascends
+        succs[pos[src]].append(pos[dst])
+    cyclic = [False] * len(verts)
+    bad = [False] * len(verts)  # reaches a cyclic vertex
+    for comp in _strong_components(succs):
+        on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
+        reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
+        for v in comp:
+            cyclic[v], bad[v] = on_cycle, reaches
+    start = bad.index(True)
+    if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
+        return ObservabilityResult(True, None)
+    parent = {start: None}
+    queue = deque([start])
+    while not cyclic[v := queue.popleft()]:
+        for w in succs[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = []
+    while v is not None:
+        path.append(verts[v])
+        v = parent[v]
+    path.reverse()
+    return ObservabilityResult(False, ObservabilityWitness(path[0], tuple(path), path[-1]))
 
 
 def all_pairs_vertices(lcn: Lcn):

@@ -9,6 +9,7 @@ from conftest import random_lcn
 from oracles import (
     all_pairs_vertices,
     all_sources_controllability_witness,
+    graph_observability,
     naive_matmul,
     naive_observability_graph_edges,
     oracle_controllable,
@@ -23,6 +24,7 @@ from lcnsyn import (
     Lcn,
     LogicalMatrix,
     MatrixSizeError,
+    ObservabilityWitness,
     analysis,
     expand,
     export_dot,
@@ -32,6 +34,7 @@ from lcnsyn import (
     observability_graph,
     stp,
     swap_matrix,
+    synthesize_observability,
     transition_graph,
 )
 from lcnsyn.files import load_network
@@ -182,13 +185,16 @@ class TestIsControllable:
 
 class TestObservabilityGraph:
     def test_refuses_more_pairs_than_the_cell_cap(self):
-        # one output class of 1449 states: 1449 * 1448 / 2 = 1 049 076 pairs
+        # one output class of 1449 states: 1449 * 1448 / 2 = 1 049 076 pairs;
+        # only the materialised graph refuses them, the decision walks from L
         n = 1449
         lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
         assert n * (n - 1) // 2 > CELL_CAP
-        for decide in (observability_graph, is_observable):
-            with pytest.raises(MatrixSizeError, match="1049076 equal-output pairs"):
-                decide(lcn)
+        with pytest.raises(MatrixSizeError, match="1049076 equal-output pairs"):
+            observability_graph(lcn)
+        result = is_observable(lcn)
+        assert not result
+        assert result.witness == ObservabilityWitness((1, 2), ((1, 2),), (1, 2))
 
     def test_ones_closed_loop_graph(self):
         g = observability_graph(nets.BIG84_CL_ONES)
@@ -276,6 +282,26 @@ class TestIsObservable:
         assert not res
         assert res.witness.pair == (1, 2)
         assert is_observable(nets.BIG84_CL_MIX)
+
+    def test_matches_the_graph_reference(self):
+        # the walk from L against the verdict and witness read off the
+        # whole materialised pair graph
+        rng = random.Random(0x0B5E)
+        unobservable = 0
+        for lcn in [*nets.ALL_REFERENCE_NETS,
+                    *(random_lcn(rng, n_max=9, m_max=3, q_max=3) for _ in range(5000))]:
+            result = is_observable(lcn)
+            assert result == graph_observability(lcn)
+            unobservable += not result
+        assert 1000 < unobservable < 4500  # both verdicts are well covered
+
+    def test_builds_no_pair_graph(self, monkeypatch):
+        def refuse(lcn):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr(analysis, "observability_graph", refuse)
+        assert not is_observable(nets.BIG84_CL_ONES)
+        assert synthesize_observability(nets.BIG84).candidates_checked == 829
 
     def test_matches_sequence_oracle(self, rng):
         for _ in range(150):

@@ -10,7 +10,7 @@ import pytest
 
 from lcnsyn import analysis, cli, synthesis
 from lcnsyn.cli import main
-from lcnsyn.files import load_network
+from lcnsyn.files import load_network, network_to_dict
 
 import nets
 
@@ -104,12 +104,10 @@ class TestCheckObservability:
         monkeypatch.setattr(analysis, "observability_graph", counted)
         monkeypatch.setattr(cli, "observability_graph", counted)
         for fmt in ("structured", "text"):
-            calls.clear()
             code, _out, _ = run(capsys, "check-observability",
                                 fixtures_dir / "big84_cl_ones.json", "--format", fmt)
             assert code == 3
-            assert len(calls) == 1
-        calls.clear()
+        assert calls == []  # the decision walks the pair graph from L
         dot = tmp_path / "graph.dot"
         code, _out, _ = run(capsys, "check-observability", fixtures_dir / "big84_cl_ones.json",
                             "--dot", dot)
@@ -266,9 +264,15 @@ def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": list(range(1, n + 1)),
                                 "H": [1] * n}))
+    if argv == ["check-observability"]:
+        # only --dot materialises the graph, and it is refused before the decision
+        code, out, err = run(capsys, *argv, path)
+        assert code == 3 and json.loads(out)["witness"]["pair"] == [1, 2] and err == ""
+        argv = [*argv, "--dot", tmp_path / "wide.dot"]
     code, out, err = run(capsys, *argv, path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds cap" in err
+    assert not (tmp_path / "wide.dot").exists()
 
 
 @pytest.mark.parametrize("command", ["bounds", "synthesize"])
@@ -383,18 +387,23 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
+def _run_limited(command, path):
+    """``python -m lcnsyn command path`` in a child limited to 512 MB of
+    address space and 60 s."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "lcnsyn", command, str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
 @pytest.mark.parametrize("command", ["check-controllability", "export-graph"])
 def test_transition_commands_on_a_100k_state_ring(tmp_path, command):
-    # each call runs in a child limited to 512 MB of address space and 60 s
     n = 100_000
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": [*range(2, n + 1), 1],
                                 "H": [1] * n}))
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "lcnsyn", command, str(path)],
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=_limit_address_space,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _run_limited(command, path)
     assert proc.returncode == 0, proc.stderr
     if command == "check-controllability":
         assert json.loads(proc.stdout) == {"controllable": True, "witness": None}
@@ -403,3 +412,24 @@ def test_transition_commands_on_a_100k_state_ring(tmp_path, command):
     edges = [line for line in lines if " -> " in line]
     assert len(edges) == n and edges[-1] == f'  "{n}" -> "1" [label="1"];'
     assert sum(line.startswith('  "') and " -> " not in line for line in lines) == n
+
+
+def _ring_1400():
+    # both inputs step x -> x mod N + 1; two output classes of 700 states,
+    # 2 * 700 * 699 / 2 = 489 300 equal-output pairs, none reaching a cycle
+    n = 1400
+    return {"N": n, "M": 2, "Q": 2, "L": [x % n + 1 for x in range(1, n + 1) for _ in (1, 2)],
+            "H": [1] * 700 + [2] * 700}
+
+
+@pytest.mark.parametrize("make, code, witness", [
+    (lambda: network_to_dict(nets.random_network(0, 2000, 2, 2)), 3, ([1, 21], 23)),
+    (_ring_1400, 0, None),
+], ids=["random-2000", "ring-1400"])
+def test_check_observability_on_large_networks(tmp_path, make, code, witness):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(make()))
+    proc = _run_limited("check-observability", path)
+    assert proc.returncode == code, proc.stderr
+    got = json.loads(proc.stdout)["witness"]
+    assert (got and (got["pair"], len(got["path"]))) == witness

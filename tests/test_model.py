@@ -20,6 +20,7 @@ from lcnsyn import (
     stp,
     validate,
 )
+from lcnsyn.model import MISSING_H
 
 
 class TestValidate:
@@ -43,6 +44,13 @@ class TestValidate:
                   LogicalMatrix(2, (1, 3, 1, 1, 1)))    # wrong length and range
         msgs = validate(lcn)
         assert len(msgs) >= 4
+
+    def test_missing_h_is_a_violation(self):
+        # the analyses read H, so a network without one is not valid; the
+        # file format's omitted H is the identity, built by the loader
+        lcn = Lcn(2, 1, 2, LogicalMatrix(2, (2, 1)), None)
+        assert validate(lcn) == [MISSING_H]
+        assert validate(Lcn(2, 1, 2, lcn.L, logical_identity(2))) == []
 
     def test_factor_products(self):
         good = Lcn(4, 2, 4, nets.RING42.L, logical_identity(4),
