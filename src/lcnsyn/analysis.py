@@ -26,7 +26,8 @@ the pairs in lexicographic order and explores, breadth first, only what
 each one reaches, leaving out the pairs already known to reach no cycle;
 a component is cyclic when it has two or more vertices or a self-loop.
 Only :func:`observability_graph`, the DOT text's source, materialises
-the pair graph, and it refuses more than :data:`CELL_CAP` pairs.
+the pair graph, and it refuses more than :data:`GRAPH_CAP` pair-input
+cells (equal-output pairs times inputs).
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ DIAG = _Diag()
 
 #: A vertex of an observability graph: a sorted state pair or DIAG.
 Vertex = tuple | _Diag
+
+
+#: Guard of :func:`observability_graph`: the most pair-input cells (equal-
+#: output pairs times inputs) it materialises. Peak resident memory of
+#: ``export-graph --graph observability``, graph and DOT text together, on
+#: ``random_network(0, N, M, 2)`` from N = 400 to 800 (CPython 3.11, 64-bit)
+#: grew by about 360, 550, 935 and 1 680 bytes per pair for M = 1, 2, 4 and
+#: 8: 170 bytes per pair plus 190 per pair and input, at most 370 bytes per
+#: cell. So 2^19 cells peak near 190 MB on top of the interpreter, well
+#: inside a 512 MB address space, in which 2 million cells (999 036 pairs
+#: at M = 2) die with MemoryError.
+GRAPH_CAP = 1 << 19
 
 
 def _vertex_key(v):
@@ -242,10 +255,15 @@ def is_controllable(lcn: Lcn) -> ControllabilityResult:
     return ControllabilityResult(False, (src + 1, tgt + 1))
 
 
+def _pair_count(class_sizes) -> int:
+    """The number of equal-output pairs of output classes of these sizes."""
+    return sum(c * (c - 1) // 2 for c in class_sizes)
+
+
 def _check_pair_count(class_sizes) -> None:
     """Raise :class:`MatrixSizeError` when output classes of these sizes
     have more equal-output pairs than :data:`CELL_CAP`."""
-    n_pairs = sum(c * (c - 1) // 2 for c in class_sizes)
+    n_pairs = _pair_count(class_sizes)
     if n_pairs > CELL_CAP:
         raise MatrixSizeError(
             f"pair graph of {n_pairs} equal-output pairs exceeds cap {CELL_CAP}"
@@ -268,12 +286,15 @@ def _pair_targets(m: int, cols, out, i: int, j: int) -> dict:
 def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     """Pair graph on equal-output state pairs, diagonal collapsed to DIAG.
 
-    Raises :class:`MatrixSizeError`, before building anything, when there
-    are more equal-output pairs than :data:`CELL_CAP`.
+    Raises :class:`MatrixSizeError`, before building anything, when the
+    equal-output pairs times the inputs exceed :data:`GRAPH_CAP`.
     """
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     classes = [members for _y, members in _output_classes(lcn)]
-    _check_pair_count(map(len, classes))
+    n_pairs = _pair_count(map(len, classes))
+    if n_pairs * m > GRAPH_CAP:
+        raise MatrixSizeError(f"pair graph of {n_pairs} equal-output pairs and {m} inputs "
+                              f"exceeds cap {GRAPH_CAP} pair-input cells")
     vertices = tuple(sorted(pair for members in classes for pair in combinations(members, 2)))
     edges = []
     for src in vertices:

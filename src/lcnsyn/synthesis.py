@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Mapping
-from itertools import combinations
 from math import prod
 from types import MappingProxyType
 
@@ -198,13 +197,6 @@ class _Problem:
         self.naive = prod(len(opts) for opts in self.options)
         self.out = lcn.H.col_indices
 
-    def equal_output_pairs(self) -> list[tuple[int, int]]:
-        """The 0-based equal-output state pairs in lexicographic order,
-        the sweep's leaf check list. Built on demand: only the sweep
-        reads them, and a class of n states has n(n-1)/2 of them."""
-        return sorted(pair for cls in self.partition.classes
-                      for pair in combinations([x - 1 for x in cls.members], 2))
-
     def class_counts(self) -> tuple[int, ...]:
         """The per-class injective choice counts, whose product is the
         refined bound. A class too large for the recursive count raises
@@ -288,7 +280,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
 
     cap = -1 if max_candidates is None else max_candidates
     status, checked, assignment = _kernel_py.sweep_first_observable(
-        problem.members, problem.options, problem.out, problem.equal_output_pairs(), cap
+        problem.members, problem.options, problem.out, cap
     )
     if status == _kernel_py.FOUND:
         return SynthesisReport(Verdict.SYNTHESIZED, controller_for_map(lcn, assignment),

@@ -1,9 +1,14 @@
-"""Reference sweeps built from the kernel's own walk and leaf check.
+"""Reference sweeps and leaf checks for the kernel's tests.
 
 ``sweep_first_observable`` stops at the first observable candidate;
 these evaluate every candidate or one closed loop, so the tests can
 check the sweep's order, counts and verdicts against them.
+``scan_unsafe_pair`` is the leaf check the kernel used before its
+Moore refinement: a scan of every equal-output pair, kept as the
+reference that the refinement must agree with, pair for pair.
 """
+
+from itertools import chain
 
 from lcnsyn import _kernel_py
 
@@ -15,24 +20,62 @@ def equal_output_pairs(out) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n - 1) for j in range(i + 1, n) if out[i] == out[j]]
 
 
+def scan_unsafe_pair(succ0, out, pairs, hint: int) -> int:
+    """Index in ``pairs`` of a pair that reaches a merge or a cycle under the
+    closed-loop map ``succ0`` (0-based successors), or -1 when none does.
+
+    Walks the functional pair graph from ``pairs[hint]`` first, then from
+    every pair in order, marking pairs safe (dead end, no cycle ahead)
+    until a walk merges or closes a cycle. ``status`` maps each pair the
+    walks touched, keyed ``ci * n + cj``, to 1 (on the current walk) or
+    2 (safe).
+    """
+    if not pairs:
+        return -1
+    n = len(out)
+    status: dict[int, int] = {}
+    for k in chain((hint,), range(len(pairs))):
+        ci, cj = pairs[k]
+        path = []
+        while True:
+            idx = ci * n + cj
+            st = status.get(idx)
+            if st == 1:
+                return k  # the walk closed a cycle
+            if st:
+                break  # known safe
+            status[idx] = 1
+            path.append(idx)
+            a, b = succ0[ci], succ0[cj]
+            if a == b:
+                return k  # pair merges: edge into the diagonal
+            if out[a] != out[b]:
+                break  # successors distinguishable: dead end
+            ci, cj = (a, b) if a < b else (b, a)
+        for idx in path:
+            status[idx] = 2
+    return -1
+
+
 def closed_loop_observable(succ, out, kernel=_kernel_py) -> bool:
     """Observability of the autonomous system ``x+ = succ[x]``, ``y = out[x]``,
     by ``kernel``'s leaf check.
 
     ``succ`` and ``out`` are 1-based per-state sequences of length N.
     """
-    return kernel._unsafe_pair([s - 1 for s in succ], out, equal_output_pairs(out), 0) < 0
+    return kernel._unsafe_pair([s - 1 for s in succ], out, None) is None
 
 
-def sweep_count_observable(members, options, out, pairs, kernel=_kernel_py):
+def sweep_count_observable(members, options, out, kernel=_kernel_py):
     """Evaluate every candidate of ``kernel``'s walk; return
     ``(total, observable_count)``."""
-    total = good = hint = 0
+    total = good = 0
+    hint = None
     for succ0 in kernel.candidates(members, options, out):
         total += 1
-        k = kernel._unsafe_pair(succ0, out, pairs, hint)
-        if k < 0:
+        pair = kernel._unsafe_pair(succ0, out, hint)
+        if pair is None:
             good += 1
         else:
-            hint = k
+            hint = pair
     return total, good

@@ -196,6 +196,16 @@ class TestObservabilityGraph:
         assert not result
         assert result.witness == ObservabilityWitness((1, 2), ((1, 2),), (1, 2))
 
+    def test_refuses_more_pair_input_cells_than_its_cap(self, monkeypatch):
+        # 4 states of one output give 6 pairs; with 2 inputs, 12 cells
+        lcn = Lcn(4, 2, 1, LogicalMatrix(4, (2, 3, 3, 4, 4, 1, 1, 2)), LogicalMatrix(1, (1,) * 4))
+        monkeypatch.setattr(analysis, "GRAPH_CAP", 12)
+        assert len(observability_graph(lcn).vertices) == 6
+        monkeypatch.setattr(analysis, "GRAPH_CAP", 11)
+        with pytest.raises(MatrixSizeError,
+                           match="6 equal-output pairs and 2 inputs exceeds cap 11"):
+            observability_graph(lcn)
+
     def test_ones_closed_loop_graph(self):
         g = observability_graph(nets.BIG84_CL_ONES)
         assert g.vertices == BIG_PAIRS

@@ -387,11 +387,11 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
-def _run_limited(command, path):
-    """``python -m lcnsyn command path`` in a child limited to 512 MB of
-    address space and 60 s."""
+def _run_limited(command, path, *options):
+    """``python -m lcnsyn command path *options`` in a child limited to
+    512 MB of address space and 60 s."""
     src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run([sys.executable, "-m", "lcnsyn", command, str(path)],
+    return subprocess.run([sys.executable, "-m", "lcnsyn", command, str(path), *map(str, options)],
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=_limit_address_space,
                           env={**os.environ, "PYTHONPATH": str(src)})
@@ -433,3 +433,20 @@ def test_check_observability_on_large_networks(tmp_path, make, code, witness):
     assert proc.returncode == code, proc.stderr
     got = json.loads(proc.stdout)["witness"]
     assert (got and (got["pair"], len(got["path"]))) == witness
+
+
+@pytest.mark.parametrize("command, options", [
+    ("check-observability", ["--dot", "net.dot"]),
+    ("export-graph", ["--graph", "observability"]),
+], ids=["check-observability-dot", "export-graph-observability"])
+def test_pair_graph_over_its_memory_cap_is_an_input_error(tmp_path, command, options):
+    # 999 036 equal-output pairs and 2 inputs: under CELL_CAP, but the graph
+    # and its DOT text would exhaust the 512 MB address space
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_dict(nets.random_network(0, 2000, 2, 2))))
+    proc = _run_limited(command, path, *(tmp_path / o if o.endswith(".dot") else o
+                                         for o in options))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "net.dot").exists()

@@ -5,13 +5,16 @@ product, the public enumeration and the pair graph analysis.
 """
 
 import importlib
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
 import nets
 from conftest import random_lcn
-from sweeps import closed_loop_observable, equal_output_pairs, sweep_count_observable
+from oracles import oracle_observable
+from sweeps import (closed_loop_observable, equal_output_pairs, scan_unsafe_pair,
+                    sweep_count_observable)
 
 from lcnsyn import (
     Lcn,
@@ -34,13 +37,10 @@ def backend(request):
 
 
 def sweep_arguments(lcn):
-    """The sweep's arguments, as synthesis prepares them."""
+    """The sweep's arguments, as synthesis prepares them: the walk order,
+    each member's options and the outputs."""
     problem = _Problem(lcn)
-    return problem.members, problem.options, problem.out, problem.equal_output_pairs()
-
-
-def walk(lcn):
-    return sweep_arguments(lcn)[:3]
+    return problem.members, problem.options, problem.out
 
 
 def closed_loop_arrays(lcn):
@@ -104,19 +104,73 @@ class TestClosedLoopObservable:
             assert closed_loop_observable(succ, out) == is_observable(lcn).observable
 
 
+def random_closed_loop(rng):
+    """0-based successors and outputs of a closed loop with N 1-10 and Q 1-3;
+    half of them permutations, which are observable far more often."""
+    n, q = rng.randint(1, 10), rng.randint(1, 3)
+    if rng.random() < 0.5:
+        succ0 = rng.sample(range(n), n)
+    else:
+        succ0 = [rng.randrange(n) for _ in range(n)]
+    return succ0, [rng.randint(1, q) for _ in range(n)]
+
+
+class TestLeafCheck:
+    """``_unsafe_pair`` against the pair-list scan it replaced, whose
+    result it must repeat pair for pair, since that pair is the next
+    leaf's hint."""
+
+    def test_matches_the_pair_scan_and_the_oracle_on_random_closed_loops(self, rng):
+        observable = 0
+        for _ in range(20_000):
+            succ0, out = random_closed_loop(rng)
+            n, q = len(out), max(out)
+            lcn = Lcn(n, 1, q, LogicalMatrix(n, tuple(s + 1 for s in succ0)),
+                      LogicalMatrix(q, tuple(out)))
+            pairs = equal_output_pairs(out)
+            k = scan_unsafe_pair(succ0, out, pairs, 0)
+            least = pairs[k] if k >= 0 else None
+            assert _kernel_py._least_equivalent_pair(succ0, out) == least
+            assert _kernel_py._unsafe_pair(succ0, out, None) == least
+            if pairs:
+                hint = rng.randrange(len(pairs))
+                k = scan_unsafe_pair(succ0, out, pairs, hint)
+                assert _kernel_py._unsafe_pair(succ0, out, pairs[hint]) == (
+                    pairs[k] if k >= 0 else None)
+            assert (least is None) == oracle_observable(lcn)
+            observable += least is None
+        assert 2_000 < observable < 18_000  # both verdicts are well exercised
+
+    def test_memory_is_linear_in_the_states(self):
+        # an observable ring of N = 2 000 states, Q = 2: 999 000 equal-output
+        # pairs, whose list alone would take tens of MB
+        n = 2000
+        succ0 = [(x + 1) % n for x in range(n)]
+        out = [1] * (n // 2) + [2] * (n // 2)
+        tracemalloc.start()
+        try:
+            for hint in (None, (0, 1)):  # the hint walks 999 steps before it is safe
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert _kernel_py._unsafe_pair(succ0, out, hint) is None
+                assert tracemalloc.get_traced_memory()[1] - base < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+
 class TestCandidateWalk:
     def test_matches_brute_force_product_order(self, rng):
         for _ in range(60):
             lcn = random_lcn(rng, n_max=5, m_max=3, q_max=2)
-            args = walk(lcn)
+            args = sweep_arguments(lcn)
             walked = [list(succ0) for succ0 in _kernel_py.candidates(*args)]
             assert walked == list(product_order(*args))
 
     def test_big_network_leaf_count(self):
-        assert sum(1 for _ in _kernel_py.candidates(*walk(nets.BIG84))) == 7038
+        assert sum(1 for _ in _kernel_py.candidates(*sweep_arguments(nets.BIG84))) == 7038
 
     def test_zero_choice_class_yields_nothing(self):
-        assert list(_kernel_py.candidates(*walk(nets.SINK42_OUT2))) == []
+        assert list(_kernel_py.candidates(*sweep_arguments(nets.SINK42_OUT2))) == []
 
 
 class TestSweep:

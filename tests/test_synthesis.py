@@ -365,18 +365,14 @@ class TestSynthesize:
         assert calls["block"] == 0
         assert calls["output"] <= 2 * n
 
-        # synthesis builds the pair list, the sweep walks it
+        # the sweep gets the prepared walk arrays and the cap, and no pair list
         swept = []
         sweep = synthesis._kernel_py.sweep_first_observable
         monkeypatch.setattr(synthesis._kernel_py, "sweep_first_observable",
                             lambda *a: swept.append(a) or sweep(*a))
-        built = []
-        pairs = synthesis._Problem.equal_output_pairs
-        monkeypatch.setattr(synthesis._Problem, "equal_output_pairs",
-                            lambda self: built.append(pairs(self)) or built[-1])
         assert synthesize_observability(nets.BIG84).candidates_checked == 829
-        [args] = swept
-        assert built == [args[3]] and built[0] is args[3]
+        problem = synthesis._Problem(nets.BIG84)
+        assert swept == [(problem.members, problem.options, problem.out, -1)]
 
     def test_leaf_check_memory_does_not_grow_with_n_squared(self):
         # every leaf is unsafe (each pair can loop onto itself), so the
