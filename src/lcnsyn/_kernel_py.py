@@ -12,10 +12,10 @@ Call convention (plain sequences of ints, states and successors
 A candidate is one choice of successor per state, injective among
 equal-output states; candidates are visited in lexicographic order of
 the chosen values along ``members``. One iterative walker,
-``candidates``, defines that order: the sweep here and
-``synthesis.enumerate_candidates`` consume it. An assignment is
-returned as the tuple of 1-based successors indexed by state (position
-s-1 = successor of state s).
+``candidates``, defines that order on a stack of option iterators, one
+per position; the sweep here and ``synthesis.enumerate_candidates``
+consume it. An assignment is returned as the tuple of 1-based
+successors indexed by state (position s-1 = successor of state s).
 
 A leaf is a closed loop ``x+ = succ0[x]``, ``y = out[x]``, a Moore
 machine with one input, and it is observable exactly when no two of its
@@ -115,39 +115,35 @@ def candidates(members, options, out):
 
     Yields one 0-based successor list per candidate (indexed by state).
     The same list is yielded every time and changed in place when the
-    walk resumes, so copy it to keep it. The walk keeps an option cursor
-    and a chosen value per position and one used-value row per output.
+    walk resumes, so copy it to keep it, and do not change it: the walk
+    reads the values it chose back from it. The walk keeps one option
+    iterator per position and one used-value row per output. The last
+    position marks nothing: it yields each free value in turn.
     """
     n = len(members)
     used = {y: bytearray(n) for y in out}
     rows = [used[out[x]] for x in members]
-    # one tuple per position: a single index fetches all the forward step reads
-    slots = [(row, opts, len(opts)) for row, opts in zip(rows, options)]
     succ0 = [0] * n
-    chosen = [0] * n
-    cursor = [0] * n
-    pos = 0
+    its = [iter(options[0])] + [None] * (n - 1)
+    last, pos = n - 1, 0
     while True:
-        if pos == n:
+        row = rows[pos]
+        for v in its[pos]:
+            if not row[v]:
+                break
+        else:  # no free value left: step back and free the previous position's
+            pos -= 1
+            if pos < 0:
+                return
+            rows[pos][succ0[members[pos]]] = 0
+            continue
+        succ0[members[pos]] = v
+        if pos == last:
             yield succ0
         else:
-            row, opts, end = slots[pos]
-            k = cursor[pos]
-            while k < end and row[opts[k]]:
-                k += 1
-            if k < end:
-                v = opts[k]
-                row[v] = 1
-                chosen[pos] = v
-                succ0[members[pos]] = v
-                cursor[pos] = k + 1
-                pos += 1
-                continue
-            cursor[pos] = 0  # exhausted: rewind for the next visit
-        pos -= 1
-        if pos < 0:
-            return
-        rows[pos][chosen[pos]] = 0
+            row[v] = 1
+            pos += 1
+            its[pos] = iter(options[pos])
 
 
 def sweep_first_observable(members, options, out, cap: int = -1):

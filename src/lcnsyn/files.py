@@ -91,8 +91,8 @@ def network_from_dict(doc: dict) -> Lcn:
             )
         try:
             lcn = from_truth_table(n, m, q, rows, outs)
-        except ValueError as exc:  # an index out of range
-            raise FileFormatError([str(exc)]) from exc
+        except ValueError as exc:  # indices out of range, one per line
+            raise FileFormatError(str(exc).splitlines()) from exc
         if hcols is not None:
             raise FileFormatError(["truth_table already defines the output map; drop H"])
         lmat, hmat = lcn.L, lcn.H

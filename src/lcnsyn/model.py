@@ -94,10 +94,6 @@ class StateFeedback(Value):
             raise IndexError(f"state {i} outside [1, {n}]")
         return LogicalMatrix(self.input_dim, self.G.col_indices[(i - 1) * p : i * p])
 
-    @property
-    def is_closed_loop(self) -> bool:
-        return self.new_input_dim == 1
-
 
 def _check_factors(label: str, factors, dim: int, out: list[str]) -> None:
     if factors is None:
@@ -171,19 +167,18 @@ def from_truth_table(n_states: int, m_inputs: int, q_outputs: int,
     ``transition`` maps ``(state, input) -> state`` (a dict keyed by
     pairs, or a nested sequence with one row per state); ``output`` maps
     ``state -> output`` (a dict or a sequence). Raises
-    :class:`MissingEntryError` when a table is partial.
+    :class:`MissingEntryError` when a table is partial, and ValueError
+    naming every entry out of range, one per line.
     """
     tkeys = [(x, u) for x in range(1, n_states + 1) for u in range(1, m_inputs + 1)]
     tmap = _as_table(transition, tkeys, "transition")
     omap = _as_table(output, list(range(1, n_states + 1)), "output")
-    for k in tkeys:
-        t = tmap[k]
-        if not (1 <= t <= n_states):
-            raise ValueError(f"transition{k} = {t} outside [1, {n_states}]")
-    for x in range(1, n_states + 1):
-        y = omap[x]
-        if not (1 <= y <= q_outputs):
-            raise ValueError(f"output({x}) = {y} outside [1, {q_outputs}]")
+    bad = [f"transition{k} = {tmap[k]} outside [1, {n_states}]"
+           for k in tkeys if not 1 <= tmap[k] <= n_states]
+    bad += [f"output({x}) = {omap[x]} outside [1, {q_outputs}]"
+            for x in range(1, n_states + 1) if not 1 <= omap[x] <= q_outputs]
+    if bad:
+        raise ValueError("\n".join(bad))
     lcols = tuple(tmap[k] for k in tkeys)
     hcols = tuple(omap[x] for x in range(1, n_states + 1))
     return Lcn(n_states, m_inputs, q_outputs,

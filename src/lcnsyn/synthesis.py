@@ -199,12 +199,14 @@ class _Problem:
 
     def class_counts(self) -> tuple[int, ...]:
         """The per-class injective choice counts, whose product is the
-        refined bound. A class too large for the recursive count raises
+        refined bound, each from its class's slice of ``options``. A
+        class too large for the recursive count raises
         :class:`MatrixSizeError` naming it."""
-        nums = []
+        nums, start = [], 0
         for i, cls in enumerate(self.partition.classes, start=1):
+            opts, start = self.options[start:start + cls.size], start + cls.size
             try:
-                nums.append(injective_choice_count([self.succ[x - 1] for x in cls.members]))
+                nums.append(injective_choice_count(opts))
             except RecursionError:
                 raise MatrixSizeError(
                     f"output class {i} of {cls.size} states is too large to count"

@@ -90,6 +90,16 @@ class TestNetworkFiles:
         with pytest.raises(FileFormatError, match=message):
             network_from_dict({"N": 2, "M": 2, "Q": 2, "truth_table": table})
 
+    def test_truth_table_reports_every_index_out_of_range(self):
+        with pytest.raises(FileFormatError) as exc_info:
+            network_from_dict({"N": 2, "M": 2, "Q": 2, "truth_table": {
+                "transition": [[1, 9], [7, 1]], "output": [1, 5]}})
+        assert exc_info.value.violations == [
+            "transition(1, 2) = 9 outside [1, 2]",
+            "transition(2, 1) = 7 outside [1, 2]",
+            "output(2) = 5 outside [1, 2]",
+        ]
+
     def test_short_l_reports_violation(self, fixtures_dir):
         with pytest.raises(FileFormatError) as exc_info:
             load_network(fixtures_dir / "bad_short_L.json")

@@ -158,10 +158,30 @@ class TestLeafCheck:
             tracemalloc.stop()
 
 
+def _net(lcols, hcols, m):
+    """A network from its successor list (state-major, ``m`` per state)
+    and its output list."""
+    return Lcn(len(hcols), m, max(hcols), LogicalMatrix(len(hcols), lcols),
+               LogicalMatrix(max(hcols), hcols))
+
+
+# the shapes an iterator stack can get wrong, beside random networks
+WALK_EDGE_SHAPES = (
+    _net((1,), (1,), 1),                                  # N = 1
+    _net((1, 1), (1,), 2),                                # N = 1, one option from two inputs
+    _net((2, 3, 4, 1), (1, 1, 2, 2), 1),                  # one option each, one candidate
+    _net((2, 2, 4, 1), (1, 1, 2, 2), 1),                  # one option each, a collision
+    _net((1, 2, 1, 2, 1, 2), (1, 1, 1), 2),               # the last member's options all taken
+    _net((1, 2, 2, 3, 1, 1), (1, 1, 1), 2),               # ... taken in some branches only
+    _net((1, 2, 1, 2, 3, 3, 3, 3), (1, 1, 2, 2), 2),      # zero-choice second class
+    _net((3, 4, 1, 2, 1, 2, 2, 2, 2, 2), (1, 2, 1, 2, 2), 2),  # ... with interleaved outputs
+)
+
+
 class TestCandidateWalk:
     def test_matches_brute_force_product_order(self, rng):
-        for _ in range(60):
-            lcn = random_lcn(rng, n_max=5, m_max=3, q_max=2)
+        for lcn in WALK_EDGE_SHAPES + tuple(random_lcn(rng, n_max=5, m_max=3, q_max=2)
+                                            for _ in range(60)):
             args = sweep_arguments(lcn)
             walked = [list(succ0) for succ0 in _kernel_py.candidates(*args)]
             assert walked == list(product_order(*args))
