@@ -51,10 +51,6 @@ class _Diag:
 
 DIAG = _Diag()
 
-#: A vertex of an observability graph: a sorted state pair or DIAG.
-Vertex = tuple | _Diag
-
-
 #: Guard of :func:`observability_graph`: the most pair-input cells (equal-
 #: output pairs times inputs) it materialises. Peak resident memory of
 #: ``export-graph --graph observability``, graph and DOT text together, on
@@ -80,10 +76,6 @@ class StateTransitionGraph(Value):
 
     __slots__ = ("n_vertices", "edges")
 
-    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, int], ...]) -> None:
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "edges", edges)
-
     @property
     def adjacency(self) -> DenseMatrix:
         """The closed form ``[L_1 1_M, ..., L_N 1_M]``: ``entry(i, j)`` is
@@ -100,16 +92,10 @@ class StateTransitionGraph(Value):
 
 
 class ObservabilityGraph(Value):
-    """``vertices`` are the non-diagonal pairs (i, j), i < j."""
+    """``vertices`` are the non-diagonal pairs (i, j), i < j; ``edges`` are
+    ``(src, dst, inputs)`` triples, ``inputs`` ascending."""
 
-    __slots__ = ("vertices", "edges", "n_inputs")
-
-    def __init__(self, vertices: tuple[tuple[int, int], ...],
-                 edges: tuple[tuple[Vertex, Vertex, tuple[int, ...]], ...],
-                 n_inputs: int) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "n_inputs", n_inputs)
+    __slots__ = ("vertices", "edges")
 
 
 class ControllabilityResult(Value):
@@ -117,10 +103,6 @@ class ControllabilityResult(Value):
     path source -> target."""
 
     __slots__ = ("controllable", "witness")
-
-    def __init__(self, controllable: bool, witness: tuple[int, int] | None) -> None:
-        object.__setattr__(self, "controllable", controllable)
-        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.controllable
@@ -132,19 +114,9 @@ class ObservabilityWitness(Value):
 
     __slots__ = ("pair", "path", "cycle_entry")
 
-    def __init__(self, pair: tuple[int, int], path: tuple[Vertex, ...],
-                 cycle_entry: Vertex) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "cycle_entry", cycle_entry)
-
 
 class ObservabilityResult(Value):
     __slots__ = ("observable", "witness")
-
-    def __init__(self, observable: bool, witness: ObservabilityWitness | None) -> None:
-        object.__setattr__(self, "observable", observable)
-        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.observable
@@ -301,7 +273,7 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
         inputs = _pair_targets(m, cols, out, *src)
         edges.extend((src, t, tuple(inputs[t])) for t in sorted(inputs, key=_vertex_key))
     edges.append((DIAG, DIAG, tuple(range(1, m + 1))))
-    return ObservabilityGraph(vertices, tuple(edges), m)
+    return ObservabilityGraph(vertices, tuple(edges))
 
 
 def is_observable(lcn: Lcn) -> ObservabilityResult:
@@ -341,11 +313,13 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     return ObservabilityResult(True, None)
 
 
-def _pair_name(v: Vertex, wide: bool) -> str:
+def _pair_name(v, top: int) -> str:
+    """``v``'s name in DOT text, ``top`` being the greatest state of any
+    equal-output pair: "14", or "1-4" when ``top`` is above 9."""
     if v is DIAG:
         return "DIAG"
     i, j = v
-    return f"{i}-{j}" if wide else f"{i}{j}"
+    return f"{i}-{j}" if top > 9 else f"{i}{j}"
 
 
 def export_dot(graph: StateTransitionGraph | ObservabilityGraph) -> str:
@@ -362,15 +336,15 @@ def export_dot(graph: StateTransitionGraph | ObservabilityGraph) -> str:
         lines.extend(f'  "{v}";' for v in range(1, graph.n_vertices + 1))
         lines.extend(f'  "{src}" -> "{dst}" [label="{c}"];' for src, dst, c in graph.edges)
     else:
-        wide = any(j > 9 for _i, j in graph.vertices)
+        top = max((j for _i, j in graph.vertices), default=0)
         lines.append("digraph observability {")
         for v in sorted(graph.vertices):
-            lines.append(f'  "{_pair_name(v, wide)}";')
+            lines.append(f'  "{_pair_name(v, top)}";')
         lines.append('  "DIAG";')
         for src, dst, ws in graph.edges:
             label = ",".join(str(u) for u in ws)
             lines.append(
-                f'  "{_pair_name(src, wide)}" -> "{_pair_name(dst, wide)}" [label="{label}"];'
+                f'  "{_pair_name(src, top)}" -> "{_pair_name(dst, top)}" [label="{label}"];'
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

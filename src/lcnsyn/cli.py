@@ -17,6 +17,7 @@ from types import SimpleNamespace
 from . import files
 from .analysis import (
     DIAG,
+    _output_classes,
     _pair_name,
     _pair_targets,
     export_dot,
@@ -63,7 +64,8 @@ def _obs_witness_text(witness, lcn) -> str:
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     if entry is DIAG or entry in _pair_targets(m, cols, out, *entry):  # a self-loop closes it
         path.append(entry)
-    return " -> ".join(_pair_name(v, v is not DIAG and max(v) > 9) for v in path)
+    top = max((ms[-1] for _y, ms in _output_classes(lcn) if len(ms) > 1), default=0)
+    return " -> ".join(_pair_name(v, top) for v in path)
 
 
 def cmd_check_controllability(args) -> int:
@@ -209,6 +211,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         kind, value = options[name], value if eq else next(tokens, None)
         if value is None:
             raise _Stop(command, f"{name} needs a value")
+        if value == "" and kind in (str, REQUIRED):
+            raise _Stop(command, f"{name} needs a non-empty path")
         if type(kind) is tuple and value not in kind:
             raise _Stop(command, f"{name}: invalid choice {value!r}, choose from {kind}")
         try:

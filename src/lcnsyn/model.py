@@ -34,19 +34,14 @@ class Lcn(Value):
     __slots__ = ("state_dim", "input_dim", "output_dim", "L", "H",
                  "state_factors", "input_factors", "output_factors")
 
-    def __init__(self, state_dim: int, input_dim: int, output_dim: int,
-                 L: LogicalMatrix, H: LogicalMatrix,
-                 state_factors: tuple[int, ...] | None = None,
-                 input_factors: tuple[int, ...] | None = None,
-                 output_factors: tuple[int, ...] | None = None) -> None:
-        object.__setattr__(self, "state_dim", state_dim)
-        object.__setattr__(self, "input_dim", input_dim)
-        object.__setattr__(self, "output_dim", output_dim)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "H", H)
-        for name, factors in (("state_factors", state_factors), ("input_factors", input_factors),
-                              ("output_factors", output_factors)):
-            object.__setattr__(self, name, None if factors is None else tuple(factors))
+    _defaults = {"state_factors": None, "input_factors": None, "output_factors": None}
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        for name in self._defaults:  # the factor lists, as tuples
+            factors = getattr(self, name)
+            if factors is not None:
+                object.__setattr__(self, name, tuple(factors))
 
     def block(self, i: int) -> LogicalMatrix:
         """The i-th block ``L_i`` (N x M): columns of ``L`` for state i."""
@@ -80,13 +75,6 @@ class StateFeedback(Value):
     """
 
     __slots__ = ("state_dim", "input_dim", "new_input_dim", "G")
-
-    def __init__(self, state_dim: int, input_dim: int, new_input_dim: int,
-                 G: LogicalMatrix) -> None:
-        object.__setattr__(self, "state_dim", state_dim)
-        object.__setattr__(self, "input_dim", input_dim)
-        object.__setattr__(self, "new_input_dim", new_input_dim)
-        object.__setattr__(self, "G", G)
 
     def block(self, i: int) -> LogicalMatrix:
         n, p = self.state_dim, self.new_input_dim

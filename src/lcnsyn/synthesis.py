@@ -32,7 +32,7 @@ feedback may still destroy) and "never synthesizable".
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from math import prod
 from types import MappingProxyType
 
@@ -50,10 +50,6 @@ class OutputClass(Value):
 
     __slots__ = ("output_index", "members")
 
-    def __init__(self, output_index: int, members: tuple[int, ...]) -> None:
-        object.__setattr__(self, "output_index", output_index)
-        object.__setattr__(self, "members", members)
-
     @property
     def size(self) -> int:
         return len(self.members)
@@ -64,9 +60,6 @@ class OutputClassPartition(Value):
     output order."""
 
     __slots__ = ("classes",)
-
-    def __init__(self, classes: tuple[OutputClass, ...]) -> None:
-        object.__setattr__(self, "classes", classes)
 
 
 class Verdict(enum.Enum):
@@ -92,12 +85,7 @@ class Obstruction(Value):
     """
 
     __slots__ = ("kind", "j", "k", "target")
-
-    def __init__(self, kind: str, j: int, k: int, target: int | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "target", target)
+    _defaults = {"target": None}
 
 
 class SynthesisReport(Value):
@@ -105,21 +93,12 @@ class SynthesisReport(Value):
                  "candidates_checked", "pruned_by", "already_observable", "obstruction",
                  "zero_choice_class")
 
-    def __init__(self, verdict: Verdict, witness: ClosedLoopController | None,
-                 naive_bound: int, refined_bound: int, num_factors: tuple[int, ...],
-                 candidates_checked: int, pruned_by: Mapping[str, int] = MappingProxyType({}),
-                 already_observable: bool = False, obstruction: Obstruction | None = None,
-                 zero_choice_class: int | None = None) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "naive_bound", naive_bound)
-        object.__setattr__(self, "refined_bound", refined_bound)
-        object.__setattr__(self, "num_factors", num_factors)
-        object.__setattr__(self, "candidates_checked", candidates_checked)
-        object.__setattr__(self, "pruned_by", MappingProxyType(dict(pruned_by)))
-        object.__setattr__(self, "already_observable", already_observable)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "zero_choice_class", zero_choice_class)
+    _defaults = {"pruned_by": {}, "already_observable": False, "obstruction": None,
+                 "zero_choice_class": None}
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "pruned_by", MappingProxyType(dict(self.pruned_by)))
 
 
 def output_partition(lcn: Lcn) -> OutputClassPartition:
@@ -153,10 +132,39 @@ def _obstructions(group):
                 yield Obstruction("locked_pair", j, k)
 
 
+def _has_distinct_choice(options) -> bool:
+    """Whether the members can get pairwise-distinct successors at all: a
+    system of distinct representatives (Hall 1935). Matches each member
+    in turn along an augmenting path, searched with an explicit stack."""
+    holder, chosen = {}, []  # value -> its member, member -> its value
+    for root in range(len(options)):
+        reached_from, stack, free = {}, [root], None  # value -> member that reached it
+        while stack and free is None:
+            i = stack.pop()
+            for v in options[i]:
+                if v not in reached_from:
+                    reached_from[v] = i
+                    if v not in holder:
+                        free = v
+                        break
+                    stack.append(holder[v])
+        if free is None:
+            return False
+        chosen.append(None)
+        while free is not None:  # each member on the path takes the value it reached
+            i = reached_from[free]
+            holder[free] = i
+            chosen[i], free = free, chosen[i]
+    return True
+
+
 def injective_choice_count(options) -> int:
     """Number of ways to give one output class's members pairwise-distinct
     successors, member i drawing from its option list ``options[i]``.
-    Depth-first count with a used-value set."""
+    Zero when :func:`_has_distinct_choice` finds no way at all; otherwise a
+    depth-first count with a used-value set."""
+    if not _has_distinct_choice(options):
+        return 0
     used: set[int] = set()
 
     def count(pos: int) -> int:

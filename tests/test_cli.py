@@ -232,6 +232,32 @@ class TestExportGraph:
         assert code == 2
 
 
+WITNESS_NAMES_NET = {"N": 13, "M": 2, "Q": 2,
+                     "L": [5, 9, 8, 7, 13, 5, 8, 6, 10, 4, 9, 3, 5, 3, 13, 2, 10, 13, 5, 9, 12,
+                           13, 10, 3, 5, 2],
+                     "H": [1, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 1, 1]}
+
+
+@pytest.mark.parametrize("make", [lambda: WITNESS_NAMES_NET,
+                                  *(lambda s=s: network_to_dict(nets.random_network(s, 12, 2, 3))
+                                    for s in range(40))],
+                         ids=["names-13", *(f"random-{s}" for s in range(40))])
+def test_text_witness_path_names_nodes_of_the_dot_file(capsys, tmp_path, make):
+    # the text path and the DOT file pick short ("14") or wide ("1-4") pair
+    # names by one rule: wide when some equal-output pair has a state above 9
+    path, dot = tmp_path / "net.json", tmp_path / "g.dot"
+    path.write_text(json.dumps(make()))
+    code, out, _ = run(capsys, "check-observability", path, "--dot", dot, "--format", "text")
+    nodes = {line.strip()[1:-2] for line in dot.read_text().splitlines()
+             if line.endswith('";') and " -> " not in line}
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    if code == 0:
+        assert "witness_path" not in lines
+        return
+    names = json.loads(lines["witness_path"]).split(" -> ")
+    assert set(names) <= nodes
+
+
 def test_exit_codes_are_deterministic(capsys, fixtures_dir):
     for _ in range(3):
         code, _doc, _ = run_json(capsys, "synthesize", fixtures_dir / "sink42_out2.json")
@@ -337,9 +363,14 @@ def test_import_loads_no_dataclass_or_typing_machinery(fixtures_dir):
     ["bounds"],
     ["apply-feedback", "{net}", "--out", "{out}"],
     ["bounds", "{net}", "{net}"],
+    ["check-observability", "{net}", "--dot="],
+    ["synthesize", "{net}", "--out="],
+    ["export-graph", "{net}", "--out", ""],
+    ["apply-feedback", "{net}", "{ctrl}", "--out="],
 ], ids=["no-arguments", "unknown-subcommand", "unknown-option", "missing-value",
         "bad-format", "bad-graph", "bad-int", "missing-required-option",
-        "missing-positional", "missing-second-positional", "extra-positional"])
+        "missing-positional", "missing-second-positional", "extra-positional",
+        "empty-dot-path", "empty-out-path", "empty-spaced-out-path", "empty-required-path"])
 def test_argument_errors_exit_2_with_empty_stdout(capsys, fixtures_dir, tmp_path, argv):
     paths = {"{net}": fixtures_dir / "big84.json", "{ctrl}": fixtures_dir / "ctrl_big84_mix.json",
              "{out}": tmp_path / "out.json"}
@@ -433,6 +464,33 @@ def test_check_observability_on_large_networks(tmp_path, make, code, witness):
     assert proc.returncode == code, proc.stderr
     got = json.loads(proc.stdout)["witness"]
     assert (got and (got["pair"], len(got["path"]))) == witness
+
+
+def _one_class(n, targets):
+    # n states with one output; every state's block is ``targets``
+    return {"N": n, "M": len(targets), "Q": 1, "L": list(targets) * n, "H": [1] * n}
+
+
+@pytest.mark.parametrize("command, make, code, check", [
+    # 22 states share 11 successors: no injective choice, decided by matching
+    ("bounds", lambda: _one_class(22, range(1, 12)), 0,
+     lambda doc: doc["refined"] == 0 and doc["num_factors"] == [0]),
+    ("synthesize", lambda: _one_class(22, range(1, 12)), 3,
+     lambda doc: doc["verdict"] == "NOT_SYNTHESIZABLE" and doc["zero_choice_class"] == 1),
+    # 1449 states in one class: past CELL_CAP equal-output pairs, refused first
+    ("bounds", lambda: _one_class(1449, [1]), 2, None),
+    ("synthesize", lambda: _one_class(1449, [1]), 2, None),
+], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1449", "synthesize-1449"])
+def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(make()))
+    proc = _run_limited(command, path)
+    assert proc.returncode == code, proc.stderr
+    if check is None:
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
+    else:
+        assert check(json.loads(proc.stdout)) and proc.stderr == ""
 
 
 @pytest.mark.parametrize("command, options", [

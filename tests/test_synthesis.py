@@ -152,6 +152,26 @@ class TestInjectiveChoiceCount:
             cols = set(nets.RING42.block(i).col_indices)
             assert injective_choice_count(class_options(nets.RING42, i)) == len(cols)
 
+    def test_matching_finds_no_choice_exactly_when_the_count_is_zero(self):
+        # random option lists, many of them over too few values (Hall's
+        # condition fails on some subset), against a brute-force count
+        rng = random.Random(15)
+        zero = 0
+        for _ in range(3000):
+            k, n = rng.randint(1, 6), rng.randint(1, 7)
+            opts = [sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))) for _ in range(k)]
+            count = sum(1 for t in product(*opts) if len(set(t)) == k)
+            assert synthesis._has_distinct_choice(opts) == (count > 0), opts
+            assert injective_choice_count(opts) == count
+            zero += count == 0
+        assert 500 < zero < 2500
+
+    def test_pigeonhole_class_is_decided_without_counting(self):
+        # the recursive count alone would try every injective placement of
+        # the first 39 (or 20) members before finding that none extends
+        assert injective_choice_count([list(range(39))] * 40) == 0
+        assert injective_choice_count([list(range(21))] * 20 + [[0], [0]]) == 0
+
 
 class TestBounds:
     def test_big_network(self):

@@ -38,8 +38,8 @@ CASES = [
     (ClosedLoopController, {"g": (1, 2)}, ("g", (2, 1))),
     (StateTransitionGraph, {"n_vertices": 1, "edges": ((1, 1, 1),)}, ("edges", ())),
     (ObservabilityGraph, {"vertices": ((1, 2),),
-                          "edges": (((1, 2), DIAG, (1,)), (DIAG, DIAG, (1,))), "n_inputs": 1},
-     ("n_inputs", 2)),
+                          "edges": (((1, 2), DIAG, (1,)), (DIAG, DIAG, (1,)))},
+     ("edges", ((DIAG, DIAG, (1,)),))),
     (ControllabilityResult, {"controllable": False, "witness": (2, 1)}, ("witness", (1, 2))),
     (ObservabilityWitness, {"pair": (1, 2), "path": ((1, 2), DIAG), "cycle_entry": DIAG},
      ("cycle_entry", (1, 2))),
@@ -104,3 +104,26 @@ def test_keyword_construction_with_defaults():
 
     assert Obstruction("locked_pair", 1, 2).target is None
     assert Obstruction(kind="constant_blocks", j=1, k=2, target=3).target == 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: OutputClass(1), "missing required arguments: members"),
+    (lambda: OutputClass(), "missing required arguments: output_index, members"),
+    (lambda: OutputClass(members=(1, 2)), "missing required arguments: output_index"),
+    (lambda: OutputClass(1, (1, 2), size=2), "unexpected argument 'size'"),
+    (lambda: OutputClass(1, (1, 2), output_index=1), "multiple values for argument "
+                                                     "'output_index'"),
+    (lambda: OutputClass(1, (1, 2), 3), "takes 2 arguments but 3 were given"),
+    (lambda: Obstruction("locked_pair", 1), "missing required arguments: k"),
+    (lambda: Obstruction("locked_pair", j=1, target=2), "missing required arguments: k"),
+    (lambda: Obstruction("locked_pair", 1, 2, tagret=3), "unexpected argument 'tagret'"),
+    (lambda: Obstruction("constant_blocks", 1, 2, 3, target=3), "multiple values for "
+                                                                 "argument 'target'"),
+    (lambda: Obstruction("constant_blocks", 1, 2, 3, 4), "takes 4 arguments but 5 were given"),
+], ids=["missing-last", "missing-all", "missing-first", "unknown", "repeated", "surplus",
+        "defaults-missing", "defaults-missing-keyword", "defaults-unknown", "defaults-repeated",
+        "defaults-surplus"])
+def test_constructor_argument_errors(make, message):
+    # OutputClass has no defaults; Obstruction defaults its last field, target
+    with pytest.raises(TypeError, match=message):
+        make()
