@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from math import prod
 from types import SimpleNamespace
 
 from . import files
@@ -145,10 +144,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_bounds(args) -> int:
     lcn = files.load_network(args.network)
-    problem = _Problem(lcn)
-    nums = problem.class_counts()
-    _print_report({"naive": problem.naive, "refined": prod(nums), "num_factors": list(nums)},
-                  args.format)
+    naive, refined, nums = _Problem(lcn).bounds()
+    _print_report({"naive": naive, "refined": refined, "num_factors": list(nums)}, args.format)
     return EXIT_OK
 
 

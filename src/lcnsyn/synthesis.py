@@ -18,7 +18,11 @@ enumerates transition maps directly:
 The number of such choices per class (``injective_choice_count``,
 counted from the members' option lists that ``_Problem`` derives once
 per call) multiplies into the refined candidate bound; the unrestricted
-product of block column counts is the naive bound. A class with zero injective
+product of block column counts is the naive bound. Members that share
+no successor, even through other members, never collide, so a class's
+count is the product of the counts of the connected components of its
+member-successor graph, and only the largest component's size sets the
+exponential cost of counting. A class with zero injective
 choices, or a structural obstruction (two equal-output states with
 identical constant blocks, or a pair locked onto itself), proves that
 no state feedback whatsoever can help.
@@ -158,13 +162,31 @@ def _has_distinct_choice(options) -> bool:
     return True
 
 
-def injective_choice_count(options) -> int:
-    """Number of ways to give one output class's members pairwise-distinct
-    successors, member i drawing from its option list ``options[i]``.
-    Zero when :func:`_has_distinct_choice` finds no way at all; otherwise a
-    depth-first count with a used-value set."""
-    if not _has_distinct_choice(options):
-        return 0
+def _components(options):
+    """The option lists of each connected component of the bipartite
+    member-value graph (two members are joined when they share a value), in
+    order of each component's first member, members in their given order.
+    One union-find pass; choices in different components never collide."""
+    parent = list(range(len(options)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[int, int] = {}  # value -> the first member offering it
+    for i, opts in enumerate(options):
+        for v in opts:
+            parent[root(i)] = root(first.setdefault(v, i))
+    blocks: dict[int, list] = {}
+    for i, opts in enumerate(options):
+        blocks.setdefault(root(i), []).append(opts)
+    return blocks.values()
+
+
+def _distinct_choice_count(options) -> int:
+    """Depth-first count of the pairwise-distinct choices, with a used-value
+    set; recurses once per member."""
     used: set[int] = set()
 
     def count(pos: int) -> int:
@@ -182,6 +204,19 @@ def injective_choice_count(options) -> int:
     return count(0)
 
 
+def injective_choice_count(options) -> int:
+    """Number of ways to give one output class's members pairwise-distinct
+    successors, member i drawing from its option list ``options[i]``.
+    Zero when :func:`_has_distinct_choice` finds no way at all; otherwise
+    the product, over the connected components of the member-value graph,
+    of each component's depth-first count, so the work is exponential in
+    the largest component rather than in the class. A component deeper
+    than the interpreter's recursion limit raises ``RecursionError``."""
+    if not _has_distinct_choice(options):
+        return 0
+    return prod(_distinct_choice_count(block) for block in _components(options))
+
+
 class _Problem:
     """One synthesis problem, prepared once per call: the only reader of
     ``L`` and ``H`` while synthesis runs. Builds the output partition,
@@ -189,12 +224,11 @@ class _Problem:
     else, then derives what the pre-checks and the sweep share: each
     state's sorted distinct successors ``succ``, the walk order
     ``members`` (classes in ascending output order), each member's
-    ``options`` (its ``succ`` entry), the naive bound (their product)
-    and the outputs ``out``, all 0-based and indexed by state as
-    ``_kernel_py`` takes them.
+    ``options`` (its ``succ`` entry) and the outputs ``out``, all
+    0-based and indexed by state as ``_kernel_py`` takes them.
     """
 
-    __slots__ = ("partition", "succ", "members", "options", "naive", "out")
+    __slots__ = ("partition", "succ", "members", "options", "out")
 
     def __init__(self, lcn: Lcn) -> None:
         self.partition = output_partition(lcn)
@@ -202,14 +236,14 @@ class _Problem:
         self.succ = _successors(lcn)
         self.members = [x - 1 for cls in self.partition.classes for x in cls.members]
         self.options = [self.succ[x] for x in self.members]
-        self.naive = prod(len(opts) for opts in self.options)
         self.out = lcn.H.col_indices
 
-    def class_counts(self) -> tuple[int, ...]:
-        """The per-class injective choice counts, whose product is the
-        refined bound, each from its class's slice of ``options``. A
-        class too large for the recursive count raises
-        :class:`MatrixSizeError` naming it."""
+    def bounds(self) -> tuple[int, int, tuple[int, ...]]:
+        """(naive, refined, per-class counts): the naive bound is the
+        product of the members' option counts, the refined bound that of
+        the injective choice counts, one per class, each from its class's
+        slice of ``options``. A class whose count recurses too
+        deep raises :class:`MatrixSizeError` naming it."""
         nums, start = [], 0
         for i, cls in enumerate(self.partition.classes, start=1):
             opts, start = self.options[start:start + cls.size], start + cls.size
@@ -219,14 +253,14 @@ class _Problem:
                 raise MatrixSizeError(
                     f"output class {i} of {cls.size} states is too large to count"
                 ) from None
-        return tuple(nums)
+        return prod(len(opts) for opts in self.options), prod(nums), tuple(nums)
 
 
 def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     """(naive, refined) candidate counts: product of block column counts
     versus product of per-class injective choice counts."""
-    problem = _Problem(lcn)
-    return problem.naive, prod(problem.class_counts())
+    naive, refined, _nums = _Problem(lcn).bounds()
+    return naive, refined
 
 
 def controller_for_map(lcn: Lcn, successors) -> ClosedLoopController:
@@ -268,8 +302,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     if backend not in ("auto", "python"):
         raise ValueError(f"unknown backend {backend!r}; expected auto or python")
     problem = _Problem(lcn)
-    naive, nums = problem.naive, problem.class_counts()
-    refined = prod(nums)
+    naive, refined, nums = problem.bounds()
 
     if is_observable(lcn):
         witness = ClosedLoopController((1,) * lcn.state_dim)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -303,15 +304,32 @@ def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["bounds", "synthesize"])
 def test_class_too_large_to_count_is_an_input_error(capsys, tmp_path, command):
-    # one output class of 1100 states passes the pair cap, but its count
-    # recurses deeper than the interpreter's default limit
+    # one output class of 1100 states passes the pair cap; state x offers x
+    # and x mod N + 1, so the class is one component whose count recurses
+    # deeper than the interpreter's default limit
     n = 1100
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": list(range(1, n + 1)),
-                                "H": [1] * n}))
+    path.write_text(json.dumps({"N": n, "M": 2, "Q": 1, "H": [1] * n,
+                                "L": [t for x in range(1, n + 1) for t in (x, x % n + 1)]}))
     code, out, err = run(capsys, command, path)
     assert code == 2 and out == ""
     assert err == "error: output class 1 of 1100 states is too large to count\n"
+
+
+@pytest.mark.parametrize("command, code", [("bounds", 0), ("synthesize", 3)])
+def test_class_of_many_small_components_is_counted(capsys, tmp_path, command, code):
+    # the identity on 1100 states with one output: 1100 one-member components
+    n = 1100
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"N": n, "M": 1, "Q": 1, "L": list(range(1, n + 1)),
+                                "H": [1] * n}))
+    got, doc, err = run_json(capsys, command, path)
+    assert got == code and err == ""
+    assert doc["refined_bound" if command == "synthesize" else "refined"] == 1
+    assert doc["num_factors"] == [1]
+    if command == "synthesize":
+        assert doc["verdict"] == "NOT_SYNTHESIZABLE"
+        assert doc["obstruction"] == {"kind": "locked_pair", "states": [1, 2], "target": None}
 
 
 # files whose decoding fails with an error other than JSONDecodeError
@@ -480,7 +498,15 @@ def _one_class(n, targets):
     # 1449 states in one class: past CELL_CAP equal-output pairs, refused first
     ("bounds", lambda: _one_class(1449, [1]), 2, None),
     ("synthesize", lambda: _one_class(1449, [1]), 2, None),
-], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1449", "synthesize-1449"])
+    # 200 states in 16 classes of up to 19 states, whose member-value graphs
+    # split into components of at most 10 members
+    ("bounds", lambda: network_to_dict(nets.random_network(4, 200, 4, 16)), 0,
+     lambda doc: doc["refined"] == prod(doc["num_factors"])),
+    ("synthesize", lambda: network_to_dict(nets.random_network(4, 200, 4, 16)), 0,
+     lambda doc: doc["verdict"] == "SYNTHESIZED"
+     and doc["refined_bound"] == prod(doc["num_factors"])),
+], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1449", "synthesize-1449",
+        "bounds-random-200", "synthesize-random-200"])
 def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(make()))

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -45,6 +46,11 @@ def class_options(lcn, i):
     """Class i's member option lists, read from the blocks (class index 1-based)."""
     members = output_partition(lcn).classes[i - 1].members
     return [sorted(set(lcn.block(x).col_indices)) for x in members]
+
+
+def brute_force_count(opts):
+    """The pairwise-distinct choices from the option lists, one tuple at a time."""
+    return sum(1 for t in product(*opts) if len(set(t)) == len(opts))
 
 
 def paired_classes(n):
@@ -160,11 +166,33 @@ class TestInjectiveChoiceCount:
         for _ in range(3000):
             k, n = rng.randint(1, 6), rng.randint(1, 7)
             opts = [sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))) for _ in range(k)]
-            count = sum(1 for t in product(*opts) if len(set(t)) == k)
+            count = brute_force_count(opts)
             assert synthesis._has_distinct_choice(opts) == (count > 0), opts
             assert injective_choice_count(opts) == count
             zero += count == 0
         assert 500 < zero < 2500
+
+    def test_components_multiply_to_the_brute_force_count(self):
+        # 1-4 random blocks of members, each block drawing either from its
+        # own value range or from ranges that overlap the others'; members
+        # are shuffled across blocks, and shared values join components
+        rng = random.Random(16)
+        split = 0
+        for trial in range(1500):
+            disjoint = trial % 2 == 0
+            blocks = []
+            for b in range(rng.randint(1, 4)):
+                base, n = 10 * b if disjoint else rng.randint(0, 3), rng.randint(1, 4)
+                blocks.append([sorted(rng.sample(range(base, base + n), rng.randint(1, min(n, 3))))
+                               for _ in range(rng.randint(1, 3))])
+            opts = [o for block in blocks for o in block]
+            rng.shuffle(opts)
+            count = brute_force_count(opts)
+            assert injective_choice_count(opts) == count, opts
+            if disjoint:
+                assert count == prod(injective_choice_count(block) for block in blocks), blocks
+            split += len(synthesis._components(opts)) > 1
+        assert 600 < split < 1400
 
     def test_pigeonhole_class_is_decided_without_counting(self):
         # the recursive count alone would try every injective placement of
@@ -361,12 +389,26 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("func", [candidate_bounds, synthesize_observability])
     def test_class_too_large_to_count_is_a_size_error(self, func):
-        # one class of 1100 states passes the pair cap (604 450 pairs), but
-        # counting it recurses deeper than the interpreter's default limit
+        # one class of 1100 states passes the pair cap (604 450 pairs); state
+        # x offers x and x mod N + 1, so the class is one component whose
+        # count recurses deeper than the interpreter's default limit
         n = 1100
-        lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
+        cols = tuple(t for x in range(1, n + 1) for t in (x, x % n + 1))
+        lcn = Lcn(n, 2, 1, LogicalMatrix(n, cols), LogicalMatrix(1, (1,) * n))
         with pytest.raises(MatrixSizeError, match="output class 1 of 1100 states"):
             func(lcn)
+
+    def test_class_of_many_small_components_is_counted(self):
+        # the identity on 1100 states with one output: 1100 one-member
+        # components, each with one choice
+        n = 1100
+        lcn = Lcn(n, 1, 1, LogicalMatrix(n, tuple(range(1, n + 1))), LogicalMatrix(1, (1,) * n))
+        assert candidate_bounds(lcn) == (1, 1)
+        report = synthesize_observability(lcn)
+        assert report.verdict is Verdict.NOT_SYNTHESIZABLE
+        assert report.num_factors == (1,)
+        assert (report.obstruction.kind, report.obstruction.j, report.obstruction.k) == \
+            ("locked_pair", 1, 2)
 
     def test_prepares_the_problem_once(self, monkeypatch):
         # synthesis reads L and H through the prepared problem only, and no
