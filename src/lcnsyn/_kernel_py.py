@@ -117,31 +117,31 @@ def candidates(members, options, out):
     The same list is yielded every time and changed in place when the
     walk resumes, so copy it to keep it, and do not change it: the walk
     reads the values it chose back from it. The walk keeps one option
-    iterator per position and one used-value row per output. The last
-    position marks nothing: it yields each free value in turn.
+    iterator per position and one set of used values per output class.
+    The last position adds nothing: it yields each free value in turn.
     """
     n = len(members)
-    used = {y: bytearray(n) for y in out}
-    rows = [used[out[x]] for x in members]
+    by_output = {y: set() for y in set(out)}
+    used = [by_output[out[x]] for x in members]  # per position, its class's set
     succ0 = [0] * n
     its = [iter(options[0])] + [None] * (n - 1)
     last, pos = n - 1, 0
     while True:
-        row = rows[pos]
+        taken = used[pos]
         for v in its[pos]:
-            if not row[v]:
+            if v not in taken:
                 break
         else:  # no free value left: step back and free the previous position's
             pos -= 1
             if pos < 0:
                 return
-            rows[pos][succ0[members[pos]]] = 0
+            used[pos].discard(succ0[members[pos]])
             continue
         succ0[members[pos]] = v
         if pos == last:
             yield succ0
         else:
-            row[v] = 1
+            taken.add(v)
             pos += 1
             its[pos] = iter(options[pos])
 

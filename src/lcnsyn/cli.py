@@ -40,11 +40,16 @@ def _vertex_doc(v):
 
 
 def _print_report(doc: dict, fmt: str) -> None:
-    if fmt == "structured":
-        print(json.dumps(doc, indent=2))
-        return
-    for key, val in doc.items():
-        print(f"{key}: {json.dumps(val)}")
+    # a bound can run past the interpreter's 4 300-digit limit on int to
+    # str; lift it for the report only, so input files stay held to it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = (json.dumps(doc, indent=2) if fmt == "structured"
+                else "\n".join(f"{key}: {json.dumps(val)}" for key, val in doc.items()))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _obs_witness_doc(witness):

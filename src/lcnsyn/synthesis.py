@@ -111,17 +111,16 @@ def output_partition(lcn: Lcn) -> OutputClassPartition:
     )
 
 
-def structural_obstruction(out, succ) -> Obstruction | None:
+def structural_obstruction(classes, succ) -> Obstruction | None:
     """First obstruction over the equal-output state pairs (j, k), j < k, in
     lexicographic order; "constant_blocks" is checked before "locked_pair"
-    for each pair. ``out`` and ``succ`` give each 0-based state's output and
-    sorted distinct 0-based successors. Only pairs of two constant-block
-    states can be obstructed, so only those are checked, class by class."""
-    groups: dict[int, list[tuple[int, int]]] = {}  # output -> (state, target), 1-based
-    for x, opts in enumerate(succ):
-        if len(opts) == 1:
-            groups.setdefault(out[x], []).append((x + 1, opts[0] + 1))
-    firsts = [o for o in (next(_obstructions(g), None) for g in groups.values()) if o is not None]
+    for each pair. ``classes`` lists each output class's ascending 0-based
+    states, and ``succ`` each state's sorted distinct 0-based successors.
+    Only pairs of two constant-block states can be obstructed, so only
+    those are checked, class by class."""
+    groups = ([(x + 1, succ[x][0] + 1) for x in cls if len(succ[x]) == 1]  # 1-based
+              for cls in classes)
+    firsts = [o for o in (next(_obstructions(g), None) for g in groups) if o is not None]
     return min(firsts, key=lambda o: (o.j, o.k), default=None)
 
 
@@ -219,39 +218,38 @@ def injective_choice_count(options) -> int:
 
 class _Problem:
     """One synthesis problem, prepared once per call: the only reader of
-    ``L`` and ``H`` while synthesis runs. Builds the output partition,
+    ``L`` and ``H`` while synthesis runs. Lists each output class's
+    ascending states as ``classes`` (classes in ascending output order),
     refuses more than ``CELL_CAP`` equal-output pairs before anything
     else, then derives what the pre-checks and the sweep share: each
     state's sorted distinct successors ``succ``, the walk order
-    ``members`` (classes in ascending output order), each member's
+    ``members`` (the classes one after another), each member's
     ``options`` (its ``succ`` entry) and the outputs ``out``, all
     0-based and indexed by state as ``_kernel_py`` takes them.
     """
 
-    __slots__ = ("partition", "succ", "members", "options", "out")
+    __slots__ = ("classes", "succ", "members", "options", "out")
 
     def __init__(self, lcn: Lcn) -> None:
-        self.partition = output_partition(lcn)
-        _check_pair_count(cls.size for cls in self.partition.classes)  # before any counting
+        self.classes = [[x - 1 for x in cls.members] for cls in output_partition(lcn).classes]
+        _check_pair_count(map(len, self.classes))  # before any counting
         self.succ = _successors(lcn)
-        self.members = [x - 1 for cls in self.partition.classes for x in cls.members]
+        self.members = [x for cls in self.classes for x in cls]
         self.options = [self.succ[x] for x in self.members]
         self.out = lcn.H.col_indices
 
     def bounds(self) -> tuple[int, int, tuple[int, ...]]:
         """(naive, refined, per-class counts): the naive bound is the
         product of the members' option counts, the refined bound that of
-        the injective choice counts, one per class, each from its class's
-        slice of ``options``. A class whose count recurses too
-        deep raises :class:`MatrixSizeError` naming it."""
-        nums, start = [], 0
-        for i, cls in enumerate(self.partition.classes, start=1):
-            opts, start = self.options[start:start + cls.size], start + cls.size
+        the injective choice counts, one per class. A class whose count
+        recurses too deep raises :class:`MatrixSizeError` naming it."""
+        nums = []
+        for i, cls in enumerate(self.classes, start=1):
             try:
-                nums.append(injective_choice_count(opts))
+                nums.append(injective_choice_count([self.succ[x] for x in cls]))
             except RecursionError:
                 raise MatrixSizeError(
-                    f"output class {i} of {cls.size} states is too large to count"
+                    f"output class {i} of {len(cls)} states is too large to count"
                 ) from None
         return prod(len(opts) for opts in self.options), prod(nums), tuple(nums)
 
@@ -310,7 +308,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
                                candidates_checked=0, already_observable=True)
 
     pruned: dict[str, int] = {}
-    obstruction = structural_obstruction(problem.out, problem.succ)
+    obstruction = structural_obstruction(problem.classes, problem.succ)
     if obstruction is not None:
         pruned[obstruction.kind] = 1
     zero_class = next((i + 1 for i, v in enumerate(nums) if v == 0), None)

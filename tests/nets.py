@@ -55,3 +55,12 @@ def random_network(seed: int, n: int, m: int, q: int) -> Lcn:
     rng = random.Random(seed)
     return Lcn(n, m, q, LogicalMatrix(n, tuple(rng.randint(1, n) for _ in range(n * m))),
                LogicalMatrix(q, tuple(rng.randint(1, q) for _ in range(n))))
+
+
+def paired_classes(n: int) -> Lcn:
+    """n/2 two-state output classes {2i-1, 2i}, each state's block {the
+    state, its partner}."""
+    return Lcn(n, 2, n // 2,
+               LogicalMatrix(n, tuple(v for x in range(1, n + 1)
+                                      for v in (x, x + 1 if x % 2 else x - 1))),
+               LogicalMatrix(n // 2, tuple((x + 1) // 2 for x in range(1, n + 1))))

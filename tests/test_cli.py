@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from math import prod
 from pathlib import Path
 
@@ -31,6 +32,12 @@ def run_args(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def loads_exact(text):
+    """``json.loads``, reading integers past the interpreter's 4 300-digit
+    limit on str to int as Decimals, which compare with ints exactly."""
+    return json.loads(text, parse_int=lambda s: int(s) if len(s) <= 4300 else Decimal(s))
 
 
 def run_json(capsys, *argv):
@@ -332,6 +339,29 @@ def test_class_of_many_small_components_is_counted(capsys, tmp_path, command, co
         assert doc["obstruction"] == {"kind": "locked_pair", "states": [1, 2], "target": None}
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--format", "text"],
+                                  ["synthesize", "--max-candidates", "1"]],
+                         ids=["bounds", "bounds-text", "synthesize"])
+def test_bounds_past_the_int_digit_limit_print_in_full(capsys, tmp_path, argv):
+    # 8 000 two-state classes: a naive bound of 2^16000, 4 817 digits; the
+    # interpreter's limit on int to str stays in force for the next input
+    path = tmp_path / "paired.json"
+    path.write_text(json.dumps(network_to_dict(nets.paired_classes(16_000))))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert sys.get_int_max_str_digits() == limit
+    assert code == (4 if argv[0] == "synthesize" else 0) and err == ""
+    if "text" in argv:
+        doc = {key: loads_exact(val)
+               for key, val in (line.split(": ", 1) for line in out.splitlines())}
+    else:
+        doc = loads_exact(out)
+    naive, refined = ("naive_bound", "refined_bound") if argv[0] == "synthesize" else \
+        ("naive", "refined")
+    assert (doc[naive], doc[refined]) == (2 ** 16_000, 2 ** 8_000)
+    assert doc["num_factors"] == [2] * 8_000
+
+
 # files whose decoding fails with an error other than JSONDecodeError
 MALFORMED = {
     "deep": b"[" * 100_000 + b"]" * 100_000,  # RecursionError
@@ -505,18 +535,26 @@ def _one_class(n, targets):
     ("synthesize", lambda: network_to_dict(nets.random_network(4, 200, 4, 16)), 0,
      lambda doc: doc["verdict"] == "SYNTHESIZED"
      and doc["refined_bound"] == prod(doc["num_factors"])),
+    # 20 000 two-state classes: the walk keeps one set of used values per
+    # class, and the naive bound 2^40000 prints in full
+    ("bounds", lambda: network_to_dict(nets.paired_classes(40_000)), 0,
+     lambda doc: doc["naive"] == 2 ** 40_000 and doc["num_factors"] == [2] * 20_000),
+    ("synthesize --max-candidates 1", lambda: network_to_dict(nets.paired_classes(40_000)), 4,
+     lambda doc: doc["verdict"] == "DECISION_INCOMPLETE" and doc["candidates_checked"] == 1),
 ], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1449", "synthesize-1449",
-        "bounds-random-200", "synthesize-random-200"])
+        "bounds-random-200", "synthesize-random-200", "bounds-paired-40000",
+        "synthesize-paired-40000"])
 def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(make()))
-    proc = _run_limited(command, path)
+    name, *options = command.split()
+    proc = _run_limited(name, path, *options)
     assert proc.returncode == code, proc.stderr
     if check is None:
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
     else:
-        assert check(json.loads(proc.stdout)) and proc.stderr == ""
+        assert check(loads_exact(proc.stdout)) and proc.stderr == ""
 
 
 @pytest.mark.parametrize("command, options", [

@@ -175,6 +175,9 @@ WALK_EDGE_SHAPES = (
     _net((1, 2, 2, 3, 1, 1), (1, 1, 1), 2),               # ... taken in some branches only
     _net((1, 2, 1, 2, 3, 3, 3, 3), (1, 1, 2, 2), 2),      # zero-choice second class
     _net((3, 4, 1, 2, 1, 2, 2, 2, 2, 2), (1, 2, 1, 2, 2), 2),  # ... with interleaved outputs
+    _net((1, 2) * 4, (1, 1, 2, 2), 2),                    # two classes, the same options
+    _net((1, 2, 3) * 6, (1, 2, 3, 1, 2, 3), 3),           # three, interleaved, the same options
+    _net((1, 2, 3) * 5, (1, 1, 1, 2, 2), 3),              # classes of three and two, the same
 )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import nets
 from conftest import random_lcn
+from nets import paired_classes
 from oracles import all_closed_loop_maps, all_general_feedbacks, all_pairs_obstruction
 
 from lcnsyn import (
@@ -39,7 +40,7 @@ LOCKED22 = Lcn(2, 2, 1, LogicalMatrix(2, (1, 1, 2, 2)), LogicalMatrix(1, (1, 1))
 def obstruction(lcn):
     """``structural_obstruction`` on the prepared problem, as synthesis calls it."""
     problem = _Problem(lcn)
-    return structural_obstruction(problem.out, problem.succ)
+    return structural_obstruction(problem.classes, problem.succ)
 
 
 def class_options(lcn, i):
@@ -51,15 +52,6 @@ def class_options(lcn, i):
 def brute_force_count(opts):
     """The pairwise-distinct choices from the option lists, one tuple at a time."""
     return sum(1 for t in product(*opts) if len(set(t)) == len(opts))
-
-
-def paired_classes(n):
-    """n/2 two-state output classes {2i-1, 2i}, each state's block {the
-    state, its partner}."""
-    return Lcn(n, 2, n // 2,
-               LogicalMatrix(n, tuple(v for x in range(1, n + 1)
-                                      for v in (x, x + 1 if x % 2 else x - 1))),
-               LogicalMatrix(n // 2, tuple((x + 1) // 2 for x in range(1, n + 1))))
 
 
 def brute_force_closed_loop_synthesizable(lcn):
@@ -453,6 +445,20 @@ class TestSynthesize:
         finally:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < n * n // 4
+
+    def test_walk_memory_is_linear_in_the_states(self):
+        # 6 000 two-state classes: the walk's used values must cost O(N),
+        # not a length-N row for each class
+        lcn = paired_classes(12_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = synthesize_observability(lcn, max_candidates=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.candidates_checked == 1
+        assert peak < 10 << 20
 
     def test_merging_equal_output_states_is_always_unobservable(self, rng):
         # the fact behind within-class injectivity: g mapping two
