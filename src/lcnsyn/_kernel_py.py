@@ -1,21 +1,17 @@
 """The sweep kernel: the hot inner loops of closed-loop candidate sweeps.
 
-Call convention (plain sequences of ints, states and successors
-0-based), as ``synthesis`` prepares it once per problem:
+Call convention (plain sequences of ints, 0-based in and out), as
+``synthesis`` prepares it once per problem: ``classes`` lists each
+output class's states ascending, classes in ascending output order;
+``succ`` gives each state's sorted distinct candidate successors; and
+``out``, read only by the leaf check, each state's output index.
 
-* ``members`` -- all N states in walk order: output classes in
-  ascending output order, members ascending inside each class.
-* ``options`` -- per member (same order), its sorted distinct
-  candidate successors.
-* ``out``     -- output index per state, length N.
-
-A candidate is one choice of successor per state, injective among
-equal-output states; candidates are visited in lexicographic order of
-the chosen values along ``members``. One iterative walker,
-``candidates``, defines that order on a stack of option iterators, one
-per position; the sweep here and ``synthesis.enumerate_candidates``
-consume it. An assignment is returned as the tuple of 1-based
-successors indexed by state (position s-1 = successor of state s).
+A candidate is one choice of successor per state, injective within
+each class; candidates are visited in lexicographic order of the chosen
+values, class by class. One iterative walker, ``candidates``, defines
+that order on a stack of option iterators, one per position; the sweep
+here and ``synthesis.enumerate_candidates`` consume it. A candidate,
+the sweep's witness too, is a 0-based successor list indexed by state.
 
 A leaf is a closed loop ``x+ = succ0[x]``, ``y = out[x]``, a Moore
 machine with one input, and it is observable exactly when no two of its
@@ -110,7 +106,7 @@ def _unsafe_pair(succ0, out, hint):
     return _least_equivalent_pair(succ0, out)
 
 
-def candidates(members, options, out):
+def candidates(classes, succ):
     """Walk the candidate space in sweep order; the one definition of that order.
 
     Yields one 0-based successor list per candidate (indexed by state).
@@ -120,9 +116,12 @@ def candidates(members, options, out):
     iterator per position and one set of used values per output class.
     The last position adds nothing: it yields each free value in turn.
     """
+    members, used = [], []  # per position, its state and its class's set
+    for cls in classes:
+        members += cls
+        used += [set()] * len(cls)
+    options = [succ[x] for x in members]
     n = len(members)
-    by_output = {y: set() for y in set(out)}
-    used = [by_output[out[x]] for x in members]  # per position, its class's set
     succ0 = [0] * n
     its = [iter(options[0])] + [None] * (n - 1)
     last, pos = n - 1, 0
@@ -146,20 +145,20 @@ def candidates(members, options, out):
             its[pos] = iter(options[pos])
 
 
-def sweep_first_observable(members, options, out, cap: int = -1):
+def sweep_first_observable(classes, succ, out, cap: int = -1):
     """Search the candidate space for the first observable closed loop.
 
     Evaluates at most ``cap`` candidates when ``cap >= 0``. Returns
-    ``(status, checked, assignment)`` where status is FOUND, EXHAUSTED
-    or CAP_REACHED and assignment is the successful successor tuple
-    (None unless FOUND).
+    ``(status, checked, witness)`` where status is FOUND, EXHAUSTED or
+    CAP_REACHED and witness is the observable candidate's 0-based
+    successor tuple (None unless FOUND).
     """
     checked, hint = 0, None
-    for succ0 in candidates(members, options, out):
+    for succ0 in candidates(classes, succ):
         if 0 <= cap <= checked:
             return CAP_REACHED, checked, None
         checked += 1
         hint = _unsafe_pair(succ0, out, hint)
         if hint is None:
-            return FOUND, checked, tuple(s + 1 for s in succ0)
+            return FOUND, checked, tuple(succ0)
     return EXHAUSTED, checked, None

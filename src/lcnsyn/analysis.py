@@ -282,6 +282,10 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     The failure witness is the least such pair (pairs ordered
     lexicographically) together with its shortest path to a cyclic
     vertex; BFS ties are broken by vertex order, DIAG last.
+
+    Raises :class:`MatrixSizeError` once the equal-output pairs it holds,
+    the safe ones and the current root's exploration, exceed
+    :data:`CELL_CAP`.
     """
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     members = dict(_output_classes(lcn))  # output -> its states ascending: pairs come sorted
@@ -291,6 +295,7 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
         if root in safe:
             continue
         verts, pos, parent, succs = [root], {root: 0}, [None], []
+        room = CELL_CAP - len(safe)  # pairs this root's exploration may hold
         for k, v in enumerate(verts):  # breadth first over what root reaches, safe pairs aside
             targets = [v] if v is DIAG else _pair_targets(m, cols, out, *v)
             targets = sorted(targets, key=_vertex_key)
@@ -300,6 +305,9 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
                     verts.append(t)
                     parent.append(k)
             succs.append([pos[t] for t in targets if t in pos])
+            if (held := len(verts) - (DIAG in pos)) > room:
+                raise MatrixSizeError(f"observability decision holding {held + len(safe)} "
+                                      f"equal-output pairs exceeds cap {CELL_CAP}")
         cyclic = [min(c) for c in _strong_components(succs) if len(c) > 1 or c[0] in succs[c[0]]]
         if not cyclic:
             safe.update(verts)

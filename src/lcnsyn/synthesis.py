@@ -217,26 +217,20 @@ def injective_choice_count(options) -> int:
 
 
 class _Problem:
-    """One synthesis problem, prepared once per call: the only reader of
-    ``L`` and ``H`` while synthesis runs. Lists each output class's
-    ascending states as ``classes`` (classes in ascending output order),
-    refuses more than ``CELL_CAP`` equal-output pairs before anything
-    else, then derives what the pre-checks and the sweep share: each
-    state's sorted distinct successors ``succ``, the walk order
-    ``members`` (the classes one after another), each member's
-    ``options`` (its ``succ`` entry) and the outputs ``out``, all
-    0-based and indexed by state as ``_kernel_py`` takes them.
+    """One synthesis problem, prepared once per call. Lists each output
+    class's ascending states as ``classes`` (classes in ascending output
+    order), refuses more than ``CELL_CAP`` equal-output pairs before
+    anything else, then derives each state's sorted distinct successors
+    ``succ``, which the pre-checks and the sweep share, all 0-based as
+    ``_kernel_py`` takes them.
     """
 
-    __slots__ = ("classes", "succ", "members", "options", "out")
+    __slots__ = ("classes", "succ")
 
     def __init__(self, lcn: Lcn) -> None:
         self.classes = [[x - 1 for x in cls.members] for cls in output_partition(lcn).classes]
         _check_pair_count(map(len, self.classes))  # before any counting
         self.succ = _successors(lcn)
-        self.members = [x for cls in self.classes for x in cls]
-        self.options = [self.succ[x] for x in self.members]
-        self.out = lcn.H.col_indices
 
     def bounds(self) -> tuple[int, int, tuple[int, ...]]:
         """(naive, refined, per-class counts): the naive bound is the
@@ -251,7 +245,7 @@ class _Problem:
                 raise MatrixSizeError(
                     f"output class {i} of {len(cls)} states is too large to count"
                 ) from None
-        return prod(len(opts) for opts in self.options), prod(nums), tuple(nums)
+        return prod(map(len, self.succ)), prod(nums), tuple(nums)
 
 
 def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
@@ -261,12 +255,12 @@ def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
     return naive, refined
 
 
-def controller_for_map(lcn: Lcn, successors) -> ClosedLoopController:
-    """Canonical closed loop realizing a transition map: per state, the
-    least input producing the wanted successor."""
+def controller_for_map(lcn: Lcn, succ0) -> ClosedLoopController:
+    """Canonical closed loop realizing a 0-based transition map: per
+    state, the least (1-based) input producing the wanted successor."""
     m, cols = lcn.input_dim, lcn.L.col_indices
     return ClosedLoopController(
-        tuple(cols.index(t, x * m, (x + 1) * m) - x * m + 1 for x, t in enumerate(successors))
+        tuple(cols.index(t + 1, x * m, (x + 1) * m) - x * m + 1 for x, t in enumerate(succ0))
     )
 
 
@@ -276,8 +270,14 @@ def enumerate_candidates(lcn: Lcn) -> Iterator[ClosedLoopController]:
     (classes in ascending output order, members ascending, values
     ascending). Yields exactly the refined bound."""
     problem = _Problem(lcn)
-    for succ0 in _kernel_py.candidates(problem.members, problem.options, problem.out):
-        yield controller_for_map(lcn, [s + 1 for s in succ0])
+    for succ0 in _kernel_py.candidates(problem.classes, problem.succ):
+        yield controller_for_map(lcn, succ0)
+
+
+#: The verdict of each sweep outcome.
+_SWEEP_VERDICTS = {_kernel_py.FOUND: Verdict.SYNTHESIZED,
+                   _kernel_py.EXHAUSTED: Verdict.NOT_SYNTHESIZABLE,
+                   _kernel_py.CAP_REACHED: Verdict.DECISION_INCOMPLETE}
 
 
 def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
@@ -291,12 +291,16 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     run first; then candidates are swept in order until one verifies
     observable. Exhausting them proves no state feedback of any size can
     help. A candidate cap (``max_candidates``) turns exhaustion into
-    DECISION_INCOMPLETE instead of guessing; a negative cap raises
-    ValueError. ``backend`` names the sweep kernel and must be "auto" or
+    DECISION_INCOMPLETE instead of guessing; a cap that is not an int
+    (a bool included) raises TypeError, a negative one ValueError, both
+    before any work. ``backend`` names the sweep kernel and must be "auto" or
     "python", the only one there is.
     """
-    if max_candidates is not None and max_candidates < 0:
-        raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
+    if max_candidates is not None:
+        if isinstance(max_candidates, bool) or not isinstance(max_candidates, int):
+            raise TypeError(f"max_candidates must be an int or None, got {max_candidates!r}")
+        if max_candidates < 0:
+            raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
     if backend not in ("auto", "python"):
         raise ValueError(f"unknown backend {backend!r}; expected auto or python")
     problem = _Problem(lcn)
@@ -320,16 +324,11 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
                                obstruction=obstruction, zero_choice_class=zero_class)
 
     cap = -1 if max_candidates is None else max_candidates
-    status, checked, assignment = _kernel_py.sweep_first_observable(
-        problem.members, problem.options, problem.out, cap
+    status, checked, succ0 = _kernel_py.sweep_first_observable(
+        problem.classes, problem.succ, lcn.H.col_indices, cap
     )
-    if status == _kernel_py.FOUND:
-        return SynthesisReport(Verdict.SYNTHESIZED, controller_for_map(lcn, assignment),
-                               naive, refined, nums, candidates_checked=checked)
-    if status == _kernel_py.CAP_REACHED:
-        return SynthesisReport(Verdict.DECISION_INCOMPLETE, None, naive, refined, nums,
-                               candidates_checked=checked)
-    return SynthesisReport(Verdict.NOT_SYNTHESIZABLE, None, naive, refined, nums,
+    witness = None if succ0 is None else controller_for_map(lcn, succ0)
+    return SynthesisReport(_SWEEP_VERDICTS[status], witness, naive, refined, nums,
                            candidates_checked=checked)
 
 

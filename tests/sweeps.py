@@ -66,12 +66,12 @@ def closed_loop_observable(succ, out, kernel=_kernel_py) -> bool:
     return kernel._unsafe_pair([s - 1 for s in succ], out, None) is None
 
 
-def sweep_count_observable(members, options, out, kernel=_kernel_py):
+def sweep_count_observable(classes, succ, out, kernel=_kernel_py):
     """Evaluate every candidate of ``kernel``'s walk; return
     ``(total, observable_count)``."""
     total = good = 0
     hint = None
-    for succ0 in kernel.candidates(members, options, out):
+    for succ0 in kernel.candidates(classes, succ):
         total += 1
         pair = kernel._unsafe_pair(succ0, out, hint)
         if pair is None:

@@ -305,6 +305,26 @@ class TestIsObservable:
             unobservable += not result
         assert 1000 < unobservable < 4500  # both verdicts are well covered
 
+    def test_refuses_to_hold_more_pairs_than_the_cell_cap(self, monkeypatch):
+        # a ring of 8 states with outputs 1,1,1,1,2,2,2,2: each class's 6
+        # pairs walk into a pair of unequal outputs, so all 12 end up safe
+        ring = Lcn(8, 1, 2, LogicalMatrix(8, (2, 3, 4, 5, 6, 7, 8, 1)),
+                   LogicalMatrix(2, (1,) * 4 + (2,) * 4))
+        monkeypatch.setattr(analysis, "CELL_CAP", 12)
+        assert is_observable(ring).observable
+        monkeypatch.setattr(analysis, "CELL_CAP", 11)
+        with pytest.raises(MatrixSizeError, match="holding 12 equal-output pairs exceeds cap 11"):
+            is_observable(ring)
+
+    def test_the_diagonal_is_not_a_held_pair(self, monkeypatch):
+        # both states step onto state 1: pair (1, 2) merges into DIAG
+        merge = Lcn(2, 1, 1, LogicalMatrix(2, (1, 1)), LogicalMatrix(1, (1, 1)))
+        monkeypatch.setattr(analysis, "CELL_CAP", 1)
+        assert is_observable(merge).witness == ObservabilityWitness((1, 2), ((1, 2), DIAG), DIAG)
+        monkeypatch.setattr(analysis, "CELL_CAP", 0)
+        with pytest.raises(MatrixSizeError, match="exceeds cap 0"):
+            is_observable(merge)
+
     def test_builds_no_pair_graph(self, monkeypatch):
         def refuse(lcn):
             raise AssertionError("the pair graph was built")

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report schemas, file outputs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcnsyn import analysis, cli, synthesis
 from lcnsyn.cli import main
@@ -514,6 +518,18 @@ def test_check_observability_on_large_networks(tmp_path, make, code, witness):
     assert (got and (got["pair"], len(got["path"]))) == witness
 
 
+def test_check_observability_holding_too_many_pairs_is_an_input_error(tmp_path):
+    # 4 498 500 equal-output pairs; the exploration from pair (1, 2) passes
+    # CELL_CAP before it finds a cycle, and left to go on it exhausts the
+    # 512 MB address space
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_dict(nets.random_network(0, 3000, 2, 1))))
+    proc = _run_limited("check-observability", path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _one_class(n, targets):
     # n states with one output; every state's block is ``targets``
     return {"N": n, "M": len(targets), "Q": 1, "L": list(targets) * n, "H": [1] * n}
@@ -572,3 +588,91 @@ def test_pair_graph_over_its_memory_cap_is_an_input_error(tmp_path, command, opt
     assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "net.dot").exists()
+
+
+# --- robustness: generated network documents through every subcommand ------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.floats(allow_nan=False),
+                  st.text(max_size=3), st.lists(st.integers(-1, 7), max_size=5),
+                  st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2))
+_KEYS = ("N", "M", "Q", "L", "H", "truth_table", "state_factors", "input_factors",
+         "output_factors")
+
+
+@st.composite
+def network_documents(draw):
+    """A network document and a controller document, each well-formed or
+    not. The network has up to three faults: a key missing or added, a
+    value of the wrong type (bools included), an index out of range, a
+    bad factor list, or a truth table of the wrong shape."""
+    n, m, q = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lcols = draw(st.lists(st.integers(1, n), min_size=n * m, max_size=n * m))
+    hcols = draw(st.lists(st.integers(1, q), min_size=n, max_size=n))
+    doc = {"N": n, "M": m, "Q": q}
+    if draw(st.booleans()):
+        doc.update(L=lcols, H=hcols)
+        index_lists = [lcols, hcols]
+    else:
+        index_lists = [lcols[x * m:(x + 1) * m] for x in range(n)] + [hcols]
+        doc["truth_table"] = {"transition": index_lists[:-1], "output": hcols}
+    for key, dim in (("state_factors", n), ("input_factors", m), ("output_factors", q)):
+        if draw(st.integers(0, 3)) == 0:
+            valid = [dim] if dim > 1 else []
+            doc[key] = draw(st.just(valid) | st.lists(st.integers(0, 6), max_size=3))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        fault = draw(st.sampled_from(["drop", "add", "junk", "range", "shape"]))
+        if fault == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif fault == "add":
+            doc[draw(st.sampled_from(_KEYS + ("x",)))] = draw(_JUNK)
+        elif fault == "junk":
+            doc[draw(st.sampled_from(_KEYS))] = draw(_JUNK)
+        elif fault == "range":
+            target = draw(st.sampled_from(index_lists))
+            if target:
+                target[draw(st.integers(0, len(target) - 1))] = draw(
+                    st.sampled_from([0, -1, n + 1, q + 1, 10 ** 6]))
+        elif fault == "shape" and isinstance(doc.get("truth_table"), dict):
+            rows = doc["truth_table"].get("transition")
+            if isinstance(rows, list) and rows:
+                draw(st.sampled_from([rows.pop, lambda: rows[0].append(1),
+                                      lambda: rows.append([]), lambda: rows[-1].clear()]))()
+            else:
+                doc["truth_table"].pop("output", None)
+    p = draw(st.integers(1, 2))
+    ctrl = draw(st.sampled_from([
+        {"g": draw(st.lists(st.integers(1, m), min_size=n, max_size=n))},
+        {"P": p, "G": draw(st.lists(st.integers(1, m), min_size=n * p, max_size=n * p))},
+        {"g": draw(st.lists(st.integers(0, 4), max_size=6))},
+        {"P": draw(_JUNK), "G": draw(st.lists(st.integers(0, 4), max_size=12))},
+        draw(_JUNK),
+    ]))
+    return doc, ctrl
+
+
+@given(docs=network_documents(),
+       fmt=st.sampled_from(["structured", "text"]), cap=st.one_of(st.none(), st.integers(-1, 6)),
+       graph=st.sampled_from(["transition", "observability"]), to_file=st.booleans())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_generated_documents_end_in_an_exit_code(tmp_path_factory, docs, fmt, cap, graph,
+                                                 to_file):
+    # every subcommand, in process: an exit code of 0, 2, 3 or 4, never an exception
+    doc, ctrl = docs
+    d = tmp_path_factory.mktemp("doc")
+    net, ctrl_path = d / "net.json", d / "ctrl.json"
+    net.write_text(json.dumps(doc))
+    ctrl_path.write_text(json.dumps(ctrl))
+    dot = ["--dot", d / "g.dot"] if to_file else []
+    calls = [
+        ["check-controllability", net],
+        ["check-observability", net, *dot],
+        ["apply-feedback", net, ctrl_path, "--out", d / "closed.json"],
+        ["synthesize", net, *([] if cap is None else ["--max-candidates", cap]),
+         *(["--out", d / "witness.json"] if to_file else [])],
+        ["bounds", net],
+        ["export-graph", net, "--graph", graph, *(["--out", d / "graph.dot"] if to_file else [])],
+    ]
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(a) for a in [*argv, "--format", fmt]])
+        assert code in (0, 2, 3, 4), argv

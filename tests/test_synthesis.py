@@ -359,6 +359,17 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="non-negative"):
             synthesize_observability(nets.BIG84, max_candidates=-5)
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, False, "3"])
+    def test_candidate_cap_that_is_not_an_int_rejected(self, monkeypatch, cap):
+        # refused before the problem is prepared: 2.5 would check 3
+        # candidates, True would act as 1, and "3" fails only when compared
+        def prepare(lcn):
+            raise AssertionError("prepared the problem")
+
+        monkeypatch.setattr(synthesis, "_Problem", prepare)
+        with pytest.raises(TypeError, match="max_candidates must be an int or None"):
+            synthesize_observability(nets.BIG84, max_candidates=cap)
+
     @pytest.mark.parametrize("func", [candidate_bounds, synthesize_observability])
     def test_counts_each_class_once(self, func, monkeypatch):
         calls = []
@@ -426,7 +437,7 @@ class TestSynthesize:
                             lambda *a: swept.append(a) or sweep(*a))
         assert synthesize_observability(nets.BIG84).candidates_checked == 829
         problem = synthesis._Problem(nets.BIG84)
-        assert swept == [(problem.members, problem.options, problem.out, -1)]
+        assert swept == [(problem.classes, problem.succ, nets.BIG84.H.col_indices, -1)]
 
     def test_leaf_check_memory_does_not_grow_with_n_squared(self):
         # every leaf is unsafe (each pair can loop onto itself), so the
