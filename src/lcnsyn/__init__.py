@@ -19,6 +19,7 @@ from .analysis import (
     is_controllable,
     is_observable,
     observability_graph,
+    output_partition,
     transition_graph,
 )
 from .feedback import ClosedLoopController, apply_feedback, column_slice, feedback_adjacency
@@ -42,14 +43,11 @@ from .stp import (
 from .synthesis import (
     ControllabilityVerdict,
     Obstruction,
-    OutputClass,
-    OutputClassPartition,
     SynthesisReport,
     Verdict,
     candidate_bounds,
     controllability_synthesis_verdict,
     enumerate_candidates,
-    output_partition,
     synthesize_observability,
 )
 
@@ -71,8 +69,6 @@ __all__ = [
     "ObservabilityGraph",
     "ObservabilityResult",
     "ObservabilityWitness",
-    "OutputClass",
-    "OutputClassPartition",
     "StateFeedback",
     "StateTransitionGraph",
     "SynthesisReport",

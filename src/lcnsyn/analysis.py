@@ -197,12 +197,14 @@ def _successors(lcn: Lcn) -> list[list[int]]:
     return [sorted({t - 1 for t in cols[x * m:(x + 1) * m]}) for x in range(lcn.state_dim)]
 
 
-def _output_classes(lcn: Lcn) -> list[tuple[int, list[int]]]:
-    """``(output, its 1-based states ascending)`` per output taken, ascending."""
+def output_partition(lcn: Lcn) -> dict[int, tuple[int, ...]]:
+    """The states grouped by output, the one grouping every layer reads:
+    each output index in use, ascending, maps to the tuple of its 1-based
+    states, ascending. Synthesis numbers the classes from 1 in this order."""
     by_output: dict[int, list[int]] = {}
     for x, y in enumerate(lcn.H.col_indices, start=1):
         by_output.setdefault(y, []).append(x)
-    return sorted(by_output.items())
+    return {y: tuple(by_output[y]) for y in sorted(by_output)}
 
 
 def is_controllable(lcn: Lcn) -> ControllabilityResult:
@@ -262,7 +264,7 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     equal-output pairs times the inputs exceed :data:`GRAPH_CAP`.
     """
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
-    classes = [members for _y, members in _output_classes(lcn)]
+    classes = output_partition(lcn).values()
     n_pairs = _pair_count(map(len, classes))
     if n_pairs * m > GRAPH_CAP:
         raise MatrixSizeError(f"pair graph of {n_pairs} equal-output pairs and {m} inputs "
@@ -288,7 +290,7 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     :data:`CELL_CAP`.
     """
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
-    members = dict(_output_classes(lcn))  # output -> its states ascending: pairs come sorted
+    members = output_partition(lcn)  # output -> its states ascending: pairs come sorted
     pairs = ((i, j) for i in range(1, lcn.state_dim + 1) for j in members[out[i - 1]] if j > i)
     safe: set = set()  # pairs that reach no cycle
     for root in pairs:

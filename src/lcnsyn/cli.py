@@ -16,13 +16,13 @@ from types import SimpleNamespace
 from . import files
 from .analysis import (
     DIAG,
-    _output_classes,
     _pair_name,
     _pair_targets,
     export_dot,
     is_controllable,
     is_observable,
     observability_graph,
+    output_partition,
     transition_graph,
 )
 from .feedback import apply_feedback
@@ -68,7 +68,7 @@ def _obs_witness_text(witness, lcn) -> str:
     m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     if entry is DIAG or entry in _pair_targets(m, cols, out, *entry):  # a self-loop closes it
         path.append(entry)
-    top = max((ms[-1] for _y, ms in _output_classes(lcn) if len(ms) > 1), default=0)
+    top = max((ms[-1] for ms in output_partition(lcn).values() if len(ms) > 1), default=0)
     return " -> ".join(_pair_name(v, top) for v in path)
 
 
@@ -100,10 +100,10 @@ def cmd_check_observability(args) -> int:
 
 def cmd_apply_feedback(args) -> int:
     lcn = files.load_network(args.network)
+    ctrl = files.load_controller(args.controller, lcn.input_dim)  # main lists its violations
     try:
-        ctrl = files.load_controller(args.controller, lcn.input_dim)
         closed = apply_feedback(lcn, ctrl)
-    except (files.FileFormatError, ValueError) as exc:
+    except ValueError as exc:  # a controller that does not fit the network
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     files.save_network(closed, args.out)
@@ -127,7 +127,7 @@ def cmd_synthesize(args) -> int:
         "refined_bound": report.refined_bound,
         "num_factors": list(report.num_factors),
         "candidates_checked": report.candidates_checked,
-        "pruned_by": dict(report.pruned_by),
+        "pruned_by": report.pruned_by,
         "obstruction": None
         if report.obstruction is None
         else {

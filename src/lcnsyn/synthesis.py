@@ -38,32 +38,14 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from math import prod
-from types import MappingProxyType
 
 from . import _kernel_py
 from ._value import Value
-from .analysis import (_check_pair_count, _output_classes, _successors, is_controllable,
-                       is_observable)
+from .analysis import (_check_pair_count, _successors, is_controllable, is_observable,
+                       output_partition)
 from .feedback import ClosedLoopController
 from .model import Lcn
 from .stp import MatrixSizeError
-
-
-class OutputClass(Value):
-    """States sharing one output value, ascending."""
-
-    __slots__ = ("output_index", "members")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-class OutputClassPartition(Value):
-    """Partition of the state set by output value, classes in ascending
-    output order."""
-
-    __slots__ = ("classes",)
 
 
 class Verdict(enum.Enum):
@@ -94,21 +76,20 @@ class Obstruction(Value):
 
 class SynthesisReport(Value):
     __slots__ = ("verdict", "witness", "naive_bound", "refined_bound", "num_factors",
-                 "candidates_checked", "pruned_by", "already_observable", "obstruction",
-                 "zero_choice_class")
+                 "candidates_checked", "already_observable", "obstruction", "zero_choice_class")
 
-    _defaults = {"pruned_by": {}, "already_observable": False, "obstruction": None,
-                 "zero_choice_class": None}
+    _defaults = {"already_observable": False, "obstruction": None, "zero_choice_class": None}
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        object.__setattr__(self, "pruned_by", MappingProxyType(dict(self.pruned_by)))
-
-
-def output_partition(lcn: Lcn) -> OutputClassPartition:
-    return OutputClassPartition(
-        tuple(OutputClass(y, tuple(members)) for y, members in _output_classes(lcn))
-    )
+    @property
+    def pruned_by(self) -> dict[str, int]:
+        """The pre-checks that decided the verdict, each counted once: the
+        obstruction's kind, then "zero_choice_class". A fresh dict per read."""
+        pruned = {}
+        if self.obstruction is not None:
+            pruned[self.obstruction.kind] = 1
+        if self.zero_choice_class is not None:
+            pruned["zero_choice_class"] = 1
+        return pruned
 
 
 def structural_obstruction(classes, succ) -> Obstruction | None:
@@ -228,7 +209,7 @@ class _Problem:
     __slots__ = ("classes", "succ")
 
     def __init__(self, lcn: Lcn) -> None:
-        self.classes = [[x - 1 for x in cls.members] for cls in output_partition(lcn).classes]
+        self.classes = [[x - 1 for x in members] for members in output_partition(lcn).values()]
         _check_pair_count(map(len, self.classes))  # before any counting
         self.succ = _successors(lcn)
 
@@ -311,17 +292,12 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         return SynthesisReport(Verdict.SYNTHESIZED, witness, naive, refined, nums,
                                candidates_checked=0, already_observable=True)
 
-    pruned: dict[str, int] = {}
     obstruction = structural_obstruction(problem.classes, problem.succ)
-    if obstruction is not None:
-        pruned[obstruction.kind] = 1
     zero_class = next((i + 1 for i, v in enumerate(nums) if v == 0), None)
-    if zero_class is not None:
-        pruned["zero_choice_class"] = 1
     if obstruction is not None or zero_class is not None:
         return SynthesisReport(Verdict.NOT_SYNTHESIZABLE, None, naive, refined, nums,
-                               candidates_checked=0, pruned_by=pruned,
-                               obstruction=obstruction, zero_choice_class=zero_class)
+                               candidates_checked=0, obstruction=obstruction,
+                               zero_choice_class=zero_class)
 
     cap = -1 if max_candidates is None else max_candidates
     status, checked, succ0 = _kernel_py.sweep_first_observable(

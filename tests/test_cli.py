@@ -162,6 +162,15 @@ class TestApplyFeedback:
         assert code == 2
         assert err
 
+    def test_controller_file_lists_every_violation(self, capsys, fixtures_dir, tmp_path):
+        ctrl = tmp_path / "ctrl.json"
+        ctrl.write_text(json.dumps({"g": "x", "G": "y"}))
+        code, out, err = run(capsys, "apply-feedback", fixtures_dir / "big84.json", ctrl,
+                             "--out", tmp_path / "x.json")
+        assert code == 2 and out == ""
+        assert err == "error: g must be a list of integers\nerror: G must be a list of integers\n"
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSynthesize:
     def test_big_network(self, capsys, fixtures_dir, tmp_path):
@@ -541,6 +550,11 @@ def _one_class(n, targets):
      lambda doc: doc["refined"] == 0 and doc["num_factors"] == [0]),
     ("synthesize", lambda: _one_class(22, range(1, 12)), 3,
      lambda doc: doc["verdict"] == "NOT_SYNTHESIZABLE" and doc["zero_choice_class"] == 1),
+    # 1448 states in one class: 1 047 628 equal-output pairs, at most CELL_CAP
+    ("bounds", lambda: _one_class(1448, [1]), 0,
+     lambda doc: doc["refined"] == 0 and doc["num_factors"] == [0]),
+    ("synthesize", lambda: _one_class(1448, [1]), 3,
+     lambda doc: doc["verdict"] == "NOT_SYNTHESIZABLE" and doc["zero_choice_class"] == 1),
     # 1449 states in one class: past CELL_CAP equal-output pairs, refused first
     ("bounds", lambda: _one_class(1449, [1]), 2, None),
     ("synthesize", lambda: _one_class(1449, [1]), 2, None),
@@ -557,7 +571,8 @@ def _one_class(n, targets):
      lambda doc: doc["naive"] == 2 ** 40_000 and doc["num_factors"] == [2] * 20_000),
     ("synthesize --max-candidates 1", lambda: network_to_dict(nets.paired_classes(40_000)), 4,
      lambda doc: doc["verdict"] == "DECISION_INCOMPLETE" and doc["candidates_checked"] == 1),
-], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1449", "synthesize-1449",
+], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1448", "synthesize-1448",
+        "bounds-1449", "synthesize-1449",
         "bounds-random-200", "synthesize-random-200", "bounds-paired-40000",
         "synthesize-paired-40000"])
 def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):

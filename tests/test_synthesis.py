@@ -45,7 +45,7 @@ def obstruction(lcn):
 
 def class_options(lcn, i):
     """Class i's member option lists, read from the blocks (class index 1-based)."""
-    members = output_partition(lcn).classes[i - 1].members
+    members = list(output_partition(lcn).values())[i - 1]
     return [sorted(set(lcn.block(x).col_indices)) for x in members]
 
 
@@ -61,22 +61,22 @@ def brute_force_closed_loop_synthesizable(lcn):
 class TestOutputPartition:
     def test_big_network(self):
         part = output_partition(nets.BIG84)
-        assert [(c.output_index, c.members) for c in part.classes] == [
+        assert list(part.items()) == [
             (1, (1, 2, 3, 4, 5)),
             (2, (6, 7, 8)),
         ]
-        assert part.classes[0].size == 5 and part.classes[1].size == 3
+        assert len(part[1]) == 5 and len(part[2]) == 3
 
     def test_ring_with_coarse_output(self):
         part = output_partition(nets.RING42_OUT2)
-        assert [(c.output_index, c.members) for c in part.classes] == [
+        assert list(part.items()) == [
             (1, (1, 2, 3)),
             (2, (4,)),
         ]
 
     def test_identity_output(self):
         part = output_partition(nets.RING42)
-        assert [c.members for c in part.classes] == [(1,), (2,), (3,), (4,)]
+        assert list(part.values()) == [(1,), (2,), (3,), (4,)]
 
 
 class TestStructuralObstruction:
@@ -266,8 +266,8 @@ class TestEnumerateCandidates:
             part = output_partition(lcn)
             for ctrl in enumerate_candidates(lcn):
                 fed = apply_feedback(lcn, ctrl)
-                for cls in part.classes:
-                    succ = [fed.step(x, 1) for x in cls.members]
+                for members in part.values():
+                    succ = [fed.step(x, 1) for x in members]
                     assert len(set(succ)) == len(succ)
 
     def test_minimal_g_representative(self, rng):
@@ -308,6 +308,12 @@ class TestSynthesize:
         assert report.obstruction.kind == "constant_blocks"
         assert report.pruned_by == {"constant_blocks": 1, "zero_choice_class": 1}
         assert report.candidates_checked == 0
+
+    def test_reports_hash_by_value(self):
+        # pruned_by is read off obstruction and zero_choice_class, not stored
+        for lcn in (nets.SINK42_OUT2, nets.BIG84):
+            first, again = (synthesize_observability(lcn) for _ in range(2))
+            assert hash(first) == hash(again)
 
     def test_ring_with_coarse_output_synthesized(self):
         report = synthesize_observability(nets.RING42_OUT2)
@@ -478,10 +484,10 @@ class TestSynthesize:
         while found < 30:
             lcn = random_lcn(rng, n_max=4, m_max=2)
             part = output_partition(lcn)
-            cls = next((c for c in part.classes if c.size >= 2), None)
-            if cls is None:
+            members = next((ms for ms in part.values() if len(ms) >= 2), None)
+            if members is None:
                 continue
-            x1, x2 = cls.members[0], cls.members[1]
+            x1, x2 = members[0], members[1]
             for g1 in range(1, lcn.input_dim + 1):
                 for g2 in range(1, lcn.input_dim + 1):
                     if lcn.step(x1, g1) != lcn.step(x2, g2):

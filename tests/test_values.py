@@ -1,7 +1,5 @@
 """Value semantics of the immutable result and model classes."""
 
-from types import MappingProxyType
-
 import pytest
 
 from lcnsyn import (
@@ -15,8 +13,6 @@ from lcnsyn import (
     ObservabilityResult,
     ObservabilityWitness,
     Obstruction,
-    OutputClass,
-    OutputClassPartition,
     StateFeedback,
     StateTransitionGraph,
     SynthesisReport,
@@ -44,20 +40,13 @@ CASES = [
     (ObservabilityWitness, {"pair": (1, 2), "path": ((1, 2), DIAG), "cycle_entry": DIAG},
      ("cycle_entry", (1, 2))),
     (ObservabilityResult, {"observable": False, "witness": WITNESS}, ("observable", True)),
-    (OutputClass, {"output_index": 1, "members": (1, 2)}, ("members", (1, 3))),
-    (OutputClassPartition, {"classes": (OutputClass(1, (1, 2)),)}, ("classes", ())),
     (Obstruction, {"kind": "constant_blocks", "j": 1, "k": 2, "target": 3}, ("target", None)),
     (SynthesisReport, {"verdict": Verdict.SYNTHESIZED, "witness": ClosedLoopController((1,)),
                        "naive_bound": 4, "refined_bound": 2, "num_factors": (2,),
-                       "candidates_checked": 1,
-                       "pruned_by": MappingProxyType({"locked_pair": 1}),
-                       "already_observable": False, "obstruction": None,
-                       "zero_choice_class": None},
+                       "candidates_checked": 1, "already_observable": False,
+                       "obstruction": None, "zero_choice_class": None},
      ("candidates_checked", 2)),
 ]
-
-#: ``pruned_by`` is a mappingproxy, which has no hash.
-UNHASHABLE = (SynthesisReport,)
 
 
 @pytest.mark.parametrize("cls, fields, change", CASES, ids=[c[0].__name__ for c in CASES])
@@ -65,8 +54,7 @@ def test_value_semantics(cls, fields, change):
     value = cls(*fields.values())
     same = cls(**fields)
     assert value == same
-    if cls not in UNHASHABLE:
-        assert hash(value) == hash(same)
+    assert hash(value) == hash(same)
 
     name, other = change
     assert value != cls(**{**fields, name: other})
@@ -92,28 +80,31 @@ def test_keyword_construction_with_defaults():
     assert Lcn(state_dim=2, input_dim=1, output_dim=2, L=M, H=M) == Lcn(2, 1, 2, M, M, None)
 
     report = SynthesisReport(Verdict.NOT_SYNTHESIZABLE, None, 1, 0, (0,), candidates_checked=0)
-    assert isinstance(report.pruned_by, MappingProxyType) and report.pruned_by == {}
+    assert report.pruned_by == {}
     assert report.already_observable is False
     assert report.obstruction is None and report.zero_choice_class is None
-    pruned = {"zero_choice_class": 1}
     report = SynthesisReport(verdict=Verdict.NOT_SYNTHESIZABLE, witness=None, naive_bound=1,
                              refined_bound=0, num_factors=(0,), candidates_checked=0,
-                             pruned_by=pruned, zero_choice_class=1)
-    pruned["other"] = 2
-    assert report.pruned_by == {"zero_choice_class": 1} and report.zero_choice_class == 1
+                             obstruction=Obstruction("locked_pair", 1, 2), zero_choice_class=1)
+    pruned = report.pruned_by
+    pruned["other"] = 2  # a fresh dict per read: the report does not change
+    assert list(report.pruned_by.items()) == [("locked_pair", 1), ("zero_choice_class", 1)]
+    assert report.zero_choice_class == 1
+    with pytest.raises(AttributeError):
+        report.pruned_by = {}
 
     assert Obstruction("locked_pair", 1, 2).target is None
     assert Obstruction(kind="constant_blocks", j=1, k=2, target=3).target == 3
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: OutputClass(1), "missing required arguments: members"),
-    (lambda: OutputClass(), "missing required arguments: output_index, members"),
-    (lambda: OutputClass(members=(1, 2)), "missing required arguments: output_index"),
-    (lambda: OutputClass(1, (1, 2), size=2), "unexpected argument 'size'"),
-    (lambda: OutputClass(1, (1, 2), output_index=1), "multiple values for argument "
-                                                     "'output_index'"),
-    (lambda: OutputClass(1, (1, 2), 3), "takes 2 arguments but 3 were given"),
+    (lambda: StateTransitionGraph(1), "missing required arguments: edges"),
+    (lambda: StateTransitionGraph(), "missing required arguments: n_vertices, edges"),
+    (lambda: StateTransitionGraph(edges=()), "missing required arguments: n_vertices"),
+    (lambda: StateTransitionGraph(1, (), size=2), "unexpected argument 'size'"),
+    (lambda: StateTransitionGraph(1, (), n_vertices=1), "multiple values for argument "
+                                                        "'n_vertices'"),
+    (lambda: StateTransitionGraph(1, (), 3), "takes 2 arguments but 3 were given"),
     (lambda: Obstruction("locked_pair", 1), "missing required arguments: k"),
     (lambda: Obstruction("locked_pair", j=1, target=2), "missing required arguments: k"),
     (lambda: Obstruction("locked_pair", 1, 2, tagret=3), "unexpected argument 'tagret'"),
@@ -124,6 +115,6 @@ def test_keyword_construction_with_defaults():
         "defaults-missing", "defaults-missing-keyword", "defaults-unknown", "defaults-repeated",
         "defaults-surplus"])
 def test_constructor_argument_errors(make, message):
-    # OutputClass has no defaults; Obstruction defaults its last field, target
+    # StateTransitionGraph has no defaults; Obstruction defaults its last field, target
     with pytest.raises(TypeError, match=message):
         make()
