@@ -3,8 +3,9 @@
 Subcommands: check-controllability, check-observability, apply-feedback,
 synthesize, bounds, export-graph. Exit codes are a total function of the
 verdict: 0 affirmative, 3 negative verdict, 2 input error, 4 decision
-incomplete (candidate cap hit). Reports default to JSON (``--format
-structured``); ``--format text`` prints key/value lines.
+incomplete (candidate cap hit, or for ``bounds`` a class's count over its
+budget). Reports default to JSON (``--format structured``); ``--format
+text`` prints key/value lines.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def cmd_bounds(args) -> int:
     lcn = files.load_network(args.network)
     naive, refined, nums = _Problem(lcn).bounds()
     _print_report({"naive": naive, "refined": refined, "num_factors": list(nums)}, args.format)
-    return EXIT_OK
+    return EXIT_INCOMPLETE if refined is None else EXIT_OK
 
 
 def cmd_export_graph(args) -> int:
@@ -181,7 +182,8 @@ COMMANDS = {
     "synthesize": (cmd_synthesize, ("network",), {"--max-candidates": int, "--out": str},
                    "search closed-loop controllers enforcing observability "
                    "(exit 4 after --max-candidates N)"),
-    "bounds": (cmd_bounds, ("network",), {}, "report naive and refined candidate bounds"),
+    "bounds": (cmd_bounds, ("network",), {},
+               "report naive and refined candidate bounds (exit 4 if a count is over budget)"),
     "export-graph": (cmd_export_graph, ("network",),
                      {"--graph": ("transition", "observability"), "--out": str},
                      "write a graph as DOT (default stdout)"),

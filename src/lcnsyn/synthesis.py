@@ -22,7 +22,9 @@ product of block column counts is the naive bound. Members that share
 no successor, even through other members, never collide, so a class's
 count is the product of the counts of the connected components of its
 member-successor graph, and only the largest component's size sets the
-exponential cost of counting. A class with zero injective
+exponential cost of counting. That cost runs under a node budget per
+class; a class over it has an unknown count (None), and so has the
+refined bound. A class with zero injective
 choices, or a structural obstruction (two equal-output states with
 identical constant blocks, or a pair locked onto itself), proves that
 no state feedback whatsoever can help.
@@ -45,7 +47,6 @@ from .analysis import (_check_pair_count, _successors, is_controllable, is_obser
                        output_partition)
 from .feedback import ClosedLoopController
 from .model import Lcn
-from .stp import MatrixSizeError
 
 
 class Verdict(enum.Enum):
@@ -164,37 +165,72 @@ def _components(options):
     return blocks.values()
 
 
-def _distinct_choice_count(options) -> int:
-    """Depth-first count of the pairwise-distinct choices, with a used-value
-    set; recurses once per member."""
-    used: set[int] = set()
+#: The nodes one output class's count may visit (a node is a member that
+#: takes a value, the last member of a component excepted); past it the
+#: count is unknown. Counting is a 0/1 permanent, #P-complete (Valiant
+#: 1979), so no budget fits every class.
+COUNT_BUDGET = 1 << 23
 
-    def count(pos: int) -> int:
-        if pos == len(options):
-            return 1
-        total = 0
-        for v in options[pos]:
-            if v in used:
+
+def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
+    """(count, budget left) for the pairwise-distinct choices, or (None, 0)
+    once more than ``budget`` nodes are visited. Depth first on a stack of
+    option iterators, one per member, and one set of used values. The
+    second-to-last member does not step into the last: each free value v
+    it takes adds the last member's options that are neither used nor v."""
+    *walk, last = options
+    if not walk:
+        return len(last), budget
+    last = set(last)
+    top = len(walk) - 1  # the second-to-last member
+    used, chosen = set(), [0] * top
+    its = [iter(walk[0])] + [None] * (top - 1)
+    total, pos = 0, 0
+    while budget >= 0:
+        if pos == top:
+            free = len(last) - len(last & used)
+            for v in walk[top]:
+                if v not in used:
+                    total += free - (v in last)
+                    budget -= 1
+        else:
+            for v in its[pos]:
+                if v not in used:
+                    break
+            else:
+                v = -1
+            if v >= 0:
+                budget -= 1
+                used.add(v)
+                chosen[pos] = v
+                pos += 1
+                if pos < top:
+                    its[pos] = iter(walk[pos])
                 continue
-            used.add(v)
-            total += count(pos + 1)
-            used.discard(v)
-        return total
+        pos -= 1  # no free value left: step back and free the previous member's
+        if pos < 0:
+            break
+        used.discard(chosen[pos])
+    return (total, budget) if budget >= 0 else (None, 0)
 
-    return count(0)
 
-
-def injective_choice_count(options) -> int:
+def injective_choice_count(options) -> int | None:
     """Number of ways to give one output class's members pairwise-distinct
     successors, member i drawing from its option list ``options[i]``.
     Zero when :func:`_has_distinct_choice` finds no way at all; otherwise
     the product, over the connected components of the member-value graph,
-    of each component's depth-first count, so the work is exponential in
-    the largest component rather than in the class. A component deeper
-    than the interpreter's recursion limit raises ``RecursionError``."""
+    of each component's count, so the work is exponential in the largest
+    component rather than in the class. The components share one budget
+    of ``COUNT_BUDGET`` nodes; None when it runs out."""
     if not _has_distinct_choice(options):
         return 0
-    return prod(_distinct_choice_count(block) for block in _components(options))
+    total, budget = 1, COUNT_BUDGET
+    for block in _components(options):
+        count, budget = _distinct_choice_count(block, budget)
+        if count is None:
+            return None
+        total *= count
+    return total
 
 
 class _Problem:
@@ -213,25 +249,21 @@ class _Problem:
         _check_pair_count(map(len, self.classes))  # before any counting
         self.succ = _successors(lcn)
 
-    def bounds(self) -> tuple[int, int, tuple[int, ...]]:
+    def bounds(self) -> tuple[int, int | None, tuple[int | None, ...]]:
         """(naive, refined, per-class counts): the naive bound is the
         product of the members' option counts, the refined bound that of
-        the injective choice counts, one per class. A class whose count
-        recurses too deep raises :class:`MatrixSizeError` naming it."""
-        nums = []
-        for i, cls in enumerate(self.classes, start=1):
-            try:
-                nums.append(injective_choice_count([self.succ[x] for x in cls]))
-            except RecursionError:
-                raise MatrixSizeError(
-                    f"output class {i} of {len(cls)} states is too large to count"
-                ) from None
-        return prod(map(len, self.succ)), prod(nums), tuple(nums)
+        the injective choice counts, one per class. A count over its budget
+        is None, and so is the refined bound, unless another class counts 0."""
+        nums = tuple(injective_choice_count([self.succ[x] for x in cls]) for cls in self.classes)
+        known = [n for n in nums if n is not None]
+        refined = prod(known) if len(known) == len(nums) or 0 in known else None
+        return prod(map(len, self.succ)), refined, nums
 
 
-def candidate_bounds(lcn: Lcn) -> tuple[int, int]:
+def candidate_bounds(lcn: Lcn) -> tuple[int, int | None]:
     """(naive, refined) candidate counts: product of block column counts
-    versus product of per-class injective choice counts."""
+    versus product of per-class injective choice counts; the refined one
+    is None when a class's count runs over its budget."""
     naive, refined, _nums = _Problem(lcn).bounds()
     return naive, refined
 
@@ -275,7 +307,9 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     DECISION_INCOMPLETE instead of guessing; a cap that is not an int
     (a bool included) raises TypeError, a negative one ValueError, both
     before any work. ``backend`` names the sweep kernel and must be "auto" or
-    "python", the only one there is.
+    "python", the only one there is. A class whose count runs over its
+    budget is None in ``num_factors`` and, unless another class counts 0,
+    in ``refined_bound``; an unknown count never decides the verdict.
     """
     if max_candidates is not None:
         if isinstance(max_candidates, bool) or not isinstance(max_candidates, int):

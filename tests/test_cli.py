@@ -223,6 +223,17 @@ class TestBounds:
         assert code == 0
         assert calls == [153, 46]
 
+    def test_count_over_budget_is_incomplete(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 0)
+        code, doc, err = run_json(capsys, "bounds", fixtures_dir / "big84.json")
+        assert code == 4 and err == ""
+        assert doc == {"naive": 49152, "refined": None, "num_factors": [None, None]}
+        # synthesize keeps its verdict's exit code
+        code, doc, err = run_json(capsys, "synthesize", fixtures_dir / "big84.json")
+        assert code == 0 and err == ""
+        assert doc["verdict"] == "SYNTHESIZED" and doc["candidates_checked"] == 829
+        assert doc["refined_bound"] is None and doc["num_factors"] == [None, None]
+
     def test_sink(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "bounds", fixtures_dir / "sink42_out2.json")
         assert code == 0
@@ -322,18 +333,27 @@ def test_oversized_pair_graph_is_an_input_error(capsys, tmp_path, argv):
     assert not (tmp_path / "wide.dot").exists()
 
 
-@pytest.mark.parametrize("command", ["bounds", "synthesize"])
-def test_class_too_large_to_count_is_an_input_error(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, code", [("bounds", 0), ("synthesize", 3)])
+def test_deep_component_is_counted(capsys, tmp_path, command, code):
     # one output class of 1100 states passes the pair cap; state x offers x
-    # and x mod N + 1, so the class is one component whose count recurses
-    # deeper than the interpreter's default limit
+    # and x mod N + 1, so the class is one component of 1100 members with
+    # two choices, which a count recursing once per member could not reach
     n = 1100
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"N": n, "M": 2, "Q": 1, "H": [1] * n,
                                 "L": [t for x in range(1, n + 1) for t in (x, x % n + 1)]}))
-    code, out, err = run(capsys, command, path)
-    assert code == 2 and out == ""
-    assert err == "error: output class 1 of 1100 states is too large to count\n"
+    limit = sys.getrecursionlimit()
+    for lowered in (False, True):
+        if lowered:
+            sys.setrecursionlimit(200)
+        try:
+            got = run(capsys, command, path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got[0] == code and got[2] == ""
+        doc = loads_exact(got[1])
+        assert doc["refined_bound" if command == "synthesize" else "refined"] == 2
+        assert doc["num_factors"] == [2]
 
 
 @pytest.mark.parametrize("command, code", [("bounds", 0), ("synthesize", 3)])
@@ -539,6 +559,11 @@ def test_check_observability_holding_too_many_pairs_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+#: The per-class counts of ``random_network(3, 64, 4, 8)``, as the
+#: recursive count gave them with a raised recursion limit.
+RANDOM_64_COUNTS = [3058784, 35446689, 571, 836, 192, 37620, 348809, 3104]
+
+
 def _one_class(n, targets):
     # n states with one output; every state's block is ``targets``
     return {"N": n, "M": len(targets), "Q": 1, "L": list(targets) * n, "H": [1] * n}
@@ -565,6 +590,20 @@ def _one_class(n, targets):
     ("synthesize", lambda: network_to_dict(nets.random_network(4, 200, 4, 16)), 0,
      lambda doc: doc["verdict"] == "SYNTHESIZED"
      and doc["refined_bound"] == prod(doc["num_factors"])),
+    # two classes of 111 and 89 states, each one component: both counts run
+    # over the budget, so both are unknown and so is the refined bound
+    ("bounds", lambda: network_to_dict(nets.random_network(4, 200, 4, 2)), 4,
+     lambda doc: doc["refined"] is None and doc["num_factors"] == [None, None]),
+    # six classes of 90-109 states, whose largest components have 12, 11,
+    # 16, 49, 18 and 43 members: the last three run over the budget
+    ("bounds", lambda: network_to_dict(nets.random_network(3, 600, 3, 6)), 4,
+     lambda doc: doc["refined"] is None
+     and [n is None for n in doc["num_factors"]] == [False] * 3 + [True] * 3
+     and all(n > 0 for n in doc["num_factors"][:3])),
+    # eight classes with components of up to 13 members, all within the budget
+    ("bounds", lambda: network_to_dict(nets.random_network(3, 64, 4, 8)), 0,
+     lambda doc: doc["num_factors"] == RANDOM_64_COUNTS
+     and doc["refined"] == prod(RANDOM_64_COUNTS)),
     # 20 000 two-state classes: the walk keeps one set of used values per
     # class, and the naive bound 2^40000 prints in full
     ("bounds", lambda: network_to_dict(nets.paired_classes(40_000)), 0,
@@ -573,7 +612,8 @@ def _one_class(n, targets):
      lambda doc: doc["verdict"] == "DECISION_INCOMPLETE" and doc["candidates_checked"] == 1),
 ], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1448", "synthesize-1448",
         "bounds-1449", "synthesize-1449",
-        "bounds-random-200", "synthesize-random-200", "bounds-paired-40000",
+        "bounds-random-200", "synthesize-random-200", "bounds-giant-200", "bounds-giant-600",
+        "bounds-random-64", "bounds-paired-40000",
         "synthesize-paired-40000"])
 def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):
     path = tmp_path / "net.json"

@@ -1,6 +1,7 @@
 """Synthesis: partitions, prunes, bounds, enumeration, the full search."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -165,10 +166,21 @@ class TestInjectiveChoiceCount:
         assert 500 < zero < 2500
 
     def test_components_multiply_to_the_brute_force_count(self):
+        # one- and two-member components, and last members whose options
+        # the members before them can all take
+        for opts, count in [([[3]], 1), ([[0, 1, 2]], 3), ([[0], [0]], 0), ([[0], [0, 1]], 1),
+                            ([[0, 1], [0, 1]], 2), ([[0, 1], [5], [0, 1], [6, 7]], 4),
+                            ([[0, 1, 2], [0, 1], [0, 1]], 2), ([[0, 1, 2], [1, 2], [1, 2]], 2),
+                            ([[0, 1], [1, 2], [2, 3], [0, 3]], 2), ([[0], [1], [0, 1]], 0)]:
+            assert brute_force_count(opts) == count
+            assert injective_choice_count(opts) == count, opts
         # 1-4 random blocks of members, each block drawing either from its
         # own value range or from ranges that overlap the others'; members
-        # are shuffled across blocks, and shared values join components
-        rng = random.Random(16)
+        # are shuffled across blocks, and shared values join components.
+        # Each trial is then counted again with one more member last, whose
+        # options are values the others offer, so in most branches of the
+        # count they are all taken.
+        rng, extra = random.Random(16), random.Random(17)
         split = 0
         for trial in range(1500):
             disjoint = trial % 2 == 0
@@ -184,10 +196,13 @@ class TestInjectiveChoiceCount:
             if disjoint:
                 assert count == prod(injective_choice_count(block) for block in blocks), blocks
             split += len(synthesis._components(opts)) > 1
+            offered = sorted({v for o in opts for v in o})
+            more = opts + [sorted(extra.sample(offered, extra.randint(1, min(len(offered), 3))))]
+            assert injective_choice_count(more) == brute_force_count(more), more
         assert 600 < split < 1400
 
     def test_pigeonhole_class_is_decided_without_counting(self):
-        # the recursive count alone would try every injective placement of
+        # the count alone would try every injective placement of
         # the first 39 (or 20) members before finding that none extends
         assert injective_choice_count([list(range(39))] * 40) == 0
         assert injective_choice_count([list(range(21))] * 20 + [[0], [0]]) == 0
@@ -397,15 +412,53 @@ class TestSynthesize:
         assert calls == []
 
     @pytest.mark.parametrize("func", [candidate_bounds, synthesize_observability])
-    def test_class_too_large_to_count_is_a_size_error(self, func):
+    def test_deep_component_is_counted(self, func):
         # one class of 1100 states passes the pair cap (604 450 pairs); state
-        # x offers x and x mod N + 1, so the class is one component whose
-        # count recurses deeper than the interpreter's default limit
+        # x offers x and x mod N + 1, so the class is one component of 1100
+        # members with two choices, the identity and the rotation. A count
+        # that recursed once per member would need more than 1100 frames.
         n = 1100
         cols = tuple(t for x in range(1, n + 1) for t in (x, x % n + 1))
         lcn = Lcn(n, 2, 1, LogicalMatrix(n, cols), LogicalMatrix(1, (1,) * n))
-        with pytest.raises(MatrixSizeError, match="output class 1 of 1100 states"):
-            func(lcn)
+        limit = sys.getrecursionlimit()
+        for lowered in (False, True):
+            if lowered:
+                sys.setrecursionlimit(200)
+            try:
+                result = func(lcn)
+            finally:
+                sys.setrecursionlimit(limit)
+            if func is candidate_bounds:
+                assert result == (2 ** n, 2)
+            else:
+                assert (result.refined_bound, result.num_factors) == (2, (2,))
+                # one output: neither choice is observable, and both are checked
+                assert result.verdict is Verdict.NOT_SYNTHESIZABLE
+                assert result.candidates_checked == 2
+
+    def test_count_over_budget_is_unknown(self, monkeypatch):
+        # BIG84's classes of 5 and 3 states are one component each, and both
+        # need nodes to count; with none allowed both counts are unknown
+        counted = synthesize_observability(nets.BIG84)
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 0)
+        assert candidate_bounds(nets.BIG84) == (49152, None)
+        report = synthesize_observability(nets.BIG84)
+        assert (report.refined_bound, report.num_factors) == (None, (None, None))
+        # the verdict does not read the counts: the sweep is the same
+        assert (report.verdict, report.candidates_checked, report.witness) == \
+            (counted.verdict, counted.candidates_checked, counted.witness)
+
+    def test_class_without_choices_bounds_beside_an_unknown_count(self, monkeypatch):
+        # states 1-3 (output 1) all step to state 1: no injective choice, by
+        # matching; states 4-6 (output 2) count 2, but only with a node
+        lcn = Lcn(6, 2, 2, LogicalMatrix(6, (1, 1, 1, 1, 1, 1, 5, 6, 5, 6, 4, 6)),
+                  LogicalMatrix(2, (1, 1, 1, 2, 2, 2)))
+        assert candidate_bounds(lcn) == (8, 0)
+        assert _Problem(lcn).bounds()[2] == (0, 2)
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 0)
+        assert _Problem(lcn).bounds() == (8, 0, (0, None))
+        report = synthesize_observability(lcn)
+        assert (report.verdict, report.zero_choice_class) == (Verdict.NOT_SYNTHESIZABLE, 1)
 
     def test_class_of_many_small_components_is_counted(self):
         # the identity on 1100 states with one output: 1100 one-member
