@@ -18,8 +18,9 @@ some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
 
 Both decisions read successors straight from ``L`` and Tarjan's
-strongly connected components, which it emits only after every
-component they reach. So the last one has no predecessor: the
+strongly connected components. Tarjan's algorithm runs on a stack of
+successor iterators, without recursion, and emits each component only
+after every component it reaches. So the last one has no predecessor: the
 controllability witness source is the greatest state outside it if it
 reaches every state, and state N otherwise. :func:`is_observable` takes
 the pairs in lexicographic order and explores, breadth first, only what
@@ -32,7 +33,7 @@ cells (equal-output pairs times inputs).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from itertools import combinations
 
 from ._value import Value
@@ -133,61 +134,52 @@ def transition_graph(lcn: Lcn) -> StateTransitionGraph:
 
 
 def _strong_components(succs: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a 0-based digraph (iterative Tarjan)."""
+    """Strongly connected components of a 0-based digraph, each emitted
+    after every component it reaches: Tarjan's algorithm on a stack of
+    successor iterators. ``index[v]`` is v's place on Tarjan's stack, and
+    ``n`` once v's component is emitted, so only vertices still on that
+    stack lower a low link."""
     n = len(succs)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    stack: list[int] = []  # Tarjan's stack, empty again after each root
     components: list[list[int]] = []
-    next_index = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = 0
+        stack.append(root)
+        work = [(root, iter(succs[root]))]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            recursed = False
-            for k in range(pi, len(succs[v])):
-                w = succs[v][k]
+            v, rest = work[-1]
+            for w in rest:
                 if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recursed = True
+                    index[w] = low[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succs[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recursed:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                low[v] = min(low[v], index[w])
+            else:  # every successor of v is done
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[index[v]:]
+                    del stack[index[v]:]
+                    for w in comp:
+                        index[w] = n
+                    components.append(comp[::-1])  # in the order Tarjan pops them
+                elif work:  # hand v's low link to its parent
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return components
 
 
 def _reach_set(succs: list[list[int]], src: int) -> set[int]:
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in succs[v]:
+    seen, todo = {src}, [src]
+    while todo:
+        for w in succs[todo.pop()]:
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                todo.append(w)
     return seen
 
 

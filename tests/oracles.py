@@ -11,7 +11,6 @@ from collections import deque
 from itertools import product
 
 from lcnsyn import DIAG, Lcn, ObservabilityResult, ObservabilityWitness, observability_graph
-from lcnsyn.analysis import _strong_components
 from lcnsyn.feedback import apply_feedback
 from lcnsyn.model import StateFeedback
 from lcnsyn.stp import DenseMatrix, LogicalMatrix
@@ -83,6 +82,29 @@ def all_sources_controllability_witness(lcn: Lcn):
     return True, None
 
 
+def reach_sets(succs: list[list[int]]) -> list[set[int]]:
+    """What each vertex of a 0-based digraph reaches, itself included, by
+    a BFS from every vertex."""
+    reach = []
+    for src in range(len(succs)):
+        seen = {src}
+        queue = deque([src])
+        while queue:
+            for w in succs[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    return reach
+
+
+def strong_components(succs: list[list[int]]) -> set[frozenset[int]]:
+    """The strongly connected components of a 0-based digraph by mutual
+    reachability: v and w share one exactly when each reaches the other."""
+    reach = reach_sets(succs)
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(succs))}
+
+
 def naive_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     assert a.cols == b.rows
     rows = []
@@ -139,7 +161,7 @@ def naive_observability_graph_edges(lcn: Lcn):
 def graph_observability(lcn: Lcn) -> ObservabilityResult:
     """``is_observable``'s verdict and witness read off the whole
     materialised pair graph: mark every vertex that reaches a cyclic one
-    from Tarjan's components, take the least such pair, and run a BFS
+    by a BFS from every vertex, take the least such pair, and run a BFS
     from it to the nearest cyclic vertex, ties broken by edge order."""
     graph = observability_graph(lcn)
     verts = [*graph.vertices, DIAG]
@@ -147,13 +169,9 @@ def graph_observability(lcn: Lcn) -> ObservabilityResult:
     succs = [[] for _ in verts]
     for src, dst, _w in graph.edges:  # sorted edges: each list ascends
         succs[pos[src]].append(pos[dst])
-    cyclic = [False] * len(verts)
-    bad = [False] * len(verts)  # reaches a cyclic vertex
-    for comp in _strong_components(succs):
-        on_cycle = len(comp) > 1 or comp[0] in succs[comp[0]]
-        reaches = on_cycle or any(bad[w] for v in comp for w in succs[v])
-        for v in comp:
-            cyclic[v], bad[v] = on_cycle, reaches
+    reach = reach_sets(succs)
+    cyclic = [any(v in reach[w] for w in succs[v]) for v in range(len(verts))]
+    bad = [any(cyclic[w] for w in reach[v]) for v in range(len(verts))]  # reaches a cyclic vertex
     start = bad.index(True)
     if start == len(verts) - 1:  # no pair reaches a cycle, only DIAG
         return ObservabilityResult(True, None)

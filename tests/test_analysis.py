@@ -1,6 +1,7 @@
 """Graph analyses: adjacency, controllability, observability, DOT export."""
 
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,8 @@ from oracles import (
     naive_observability_graph_edges,
     oracle_controllable,
     oracle_observable,
+    reach_sets,
+    strong_components,
     transition_dot_from_adjacency,
 )
 
@@ -122,6 +125,31 @@ class TestTransitionGraph:
         with pytest.raises(MatrixSizeError, match="1025x1025 matrix .* exceeds cap"):
             graph.adjacency
         assert is_controllable(lcn).controllable  # reads L, not the adjacency
+
+
+class TestStrongComponents:
+    def test_matches_mutual_reachability_on_random_digraphs(self):
+        # self-loops and repeated successors included; each component must
+        # come after every component it reaches, sinks first
+        rng = random.Random(0x5CC)
+        for _ in range(5000):
+            n = rng.randint(1, 40)
+            degree = rng.randint(0, 4)
+            succs = [[rng.randrange(n) for _ in range(rng.randint(0, degree))] for _ in range(n)]
+            components = analysis._strong_components(succs)
+            assert sum(map(len, components)) == n
+            assert set(map(frozenset, components)) == strong_components(succs)
+            place = {v: k for k, comp in enumerate(components) for v in comp}
+            assert all(place[w] <= place[v] for v, reach in enumerate(reach_sets(succs))
+                       for w in reach)
+
+    def test_deep_graphs_need_no_recursion(self):
+        n = 200_000
+        assert n > 100 * sys.getrecursionlimit()
+        cycle = [[v + 1] for v in range(n - 1)] + [[0]]
+        assert [sorted(comp) for comp in analysis._strong_components(cycle)] == [list(range(n))]
+        path = [[v + 1] for v in range(n - 1)] + [[]]
+        assert analysis._strong_components(path) == [[v] for v in range(n - 1, -1, -1)]
 
 
 class TestIsControllable:

@@ -156,11 +156,14 @@ class TestApplyFeedback:
         assert written.input_dim == 2
 
     def test_dimension_mismatch(self, capsys, fixtures_dir, tmp_path):
-        code, _out, err = run(capsys, "apply-feedback", fixtures_dir / "tri32.json",
-                              fixtures_dir / "ctrl_big84_mix.json",
-                              "--out", tmp_path / "x.json")
-        assert code == 2
-        assert err
+        # an 8-state controller whose indices all fit the 2 inputs: the file
+        # loads, and apply_feedback refuses it
+        code, out, err = run(capsys, "apply-feedback", fixtures_dir / "tri32.json",
+                             fixtures_dir / "ctrl_big84_ones.json",
+                             "--out", tmp_path / "x.json")
+        assert code == 2 and out == ""
+        assert err == "error: feedback for N=8, M=2 does not fit network with N=3, M=2\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_controller_file_lists_every_violation(self, capsys, fixtures_dir, tmp_path):
         ctrl = tmp_path / "ctrl.json"

@@ -62,6 +62,9 @@ class TestApplyFeedback:
             apply_feedback(nets.RING42, ClosedLoopController((1, 2, 3, 1)))
         with pytest.raises(ValueError):
             apply_feedback(nets.BIG84, nets.RING42_FB)
+        # N and M fit, but G holds 15 columns where N*P is 16
+        with pytest.raises(ValueError, match=r"^G column count 15 != 16 \(N\*P\)$"):
+            apply_feedback(nets.BIG84, StateFeedback(8, 4, 2, LogicalMatrix(4, (1,) * 15)))
 
     def test_columns_drawn_from_original_blocks(self, rng):
         for _ in range(40):

@@ -85,10 +85,24 @@ class TestNetworkFiles:
         ({"transition": {"1": [1, 2]}, "output": [1, 1]}, "list of integer lists"),
         ({"transition": [[1, 2], [2, 1]], "output": [1, True]}, "output must be a list"),
         ({"transition": [[1, 2], [2, 1]], "output": [1, 3]}, "outside"),
+        ([[1, 2], [2, 1]], "must hold transition and output tables"),
+        ({"transition": [[1, 2], [2, 1]]}, "must hold transition and output tables"),
     ])
     def test_malformed_truth_table(self, table, message):
         with pytest.raises(FileFormatError, match=message):
             network_from_dict({"N": 2, "M": 2, "Q": 2, "truth_table": table})
+
+    @pytest.mark.parametrize("doc, violation", [
+        ([{"N": 1, "M": 1, "Q": 1, "L": [1]}], "network file must hold a JSON object"),
+        ({"N": 0, "M": 1, "Q": 1, "L": []}, "dimensions must be positive, got N=0 M=1 Q=1"),
+        ({"N": 1, "M": 0, "Q": 1, "L": []}, "dimensions must be positive, got N=1 M=0 Q=1"),
+        ({"N": 1, "M": 1, "Q": -1, "L": [1], "H": [1]},
+         "dimensions must be positive, got N=1 M=1 Q=-1"),
+    ], ids=["array", "no-states", "no-inputs", "negative-outputs"])
+    def test_refused_document(self, doc, violation):
+        with pytest.raises(FileFormatError) as exc_info:
+            network_from_dict(doc)
+        assert exc_info.value.violations == [violation]
 
     def test_truth_table_reports_every_index_out_of_range(self):
         with pytest.raises(FileFormatError) as exc_info:
@@ -172,6 +186,8 @@ class TestControllerFiles:
             controller_from_dict({"g": [1, 3]}, 2)
         with pytest.raises(FileFormatError, match=r"G indices"):
             controller_from_dict({"P": 1, "G": [1, 3]}, 2)
+        with pytest.raises(FileFormatError, match=r"^P must be positive, got 0$"):
+            controller_from_dict({"P": 0, "G": [1, 2]}, 2)
 
     def test_g_length_multiple_of_p(self):
         with pytest.raises(FileFormatError, match="multiple of P"):

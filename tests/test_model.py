@@ -12,6 +12,7 @@ from lcnsyn import (
     Lcn,
     LogicalMatrix,
     MissingEntryError,
+    column_slice,
     compress,
     expand,
     from_truth_table,
@@ -74,6 +75,22 @@ class TestBlock:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             nets.RING42.block(5)
+
+
+class TestStateFeedbackBlock:
+    def test_ring_controller_block_2(self):
+        assert nets.RING42_FB.block(2) == LogicalMatrix(2, (2, 2))
+
+    def test_block_columns_are_the_column_slices(self):
+        fb = nets.RING42_FB
+        for i in range(1, fb.state_dim + 1):
+            for l in range(1, fb.new_input_dim + 1):
+                assert fb.block(i).col_indices[l - 1] == column_slice(fb, l).g[i - 1]
+
+    def test_out_of_range(self):
+        for i in (0, nets.RING42_FB.state_dim + 1):
+            with pytest.raises(IndexError):
+                nets.RING42_FB.block(i)
 
 
 class TestStepOutput:
