@@ -22,12 +22,13 @@ product of block column counts is the naive bound. Members that share
 no successor, even through other members, never collide, so a class's
 count is the product of the counts of the connected components of its
 member-successor graph, and only the largest component's size sets the
-exponential cost of counting. That cost runs under a node budget per
-class; a class over it has an unknown count (None), and so has the
-refined bound. A class with zero injective
-choices, or a structural obstruction (two equal-output states with
-identical constant blocks, or a pair locked onto itself), proves that
-no state feedback whatsoever can help.
+exponential cost of counting. One maximum cardinality search splits a
+class into those components and orders each component's members, and
+the count runs in that order, under a node budget per class; a class
+over it has an unknown count (None), and so has the refined bound. A
+class with zero injective choices, or a structural obstruction (two
+equal-output states with identical constant blocks, or a pair locked
+onto itself), proves that no state feedback whatsoever can help.
 
 Controllability is the opposite story: feedback only ever removes
 transition-graph edges, so an uncontrollable network can never be made
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
+from heapq import heapify, heappop, heappush
 from math import prod
 
 from . import _kernel_py
@@ -145,24 +147,35 @@ def _has_distinct_choice(options) -> bool:
 
 def _components(options):
     """The option lists of each connected component of the bipartite
-    member-value graph (two members are joined when they share a value), in
-    order of each component's first member, members in their given order.
-    One union-find pass; choices in different components never collide."""
-    parent = list(range(len(options)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    first: dict[int, int] = {}  # value -> the first member offering it
+    member-value graph (two members are joined when they share a value),
+    members in counting order. One maximum cardinality search (Tarjan and
+    Yannakakis 1984) finds both: the next member taken offers the most
+    values that taken members offer, ties to fewer options, then to the
+    given order; a member that shares none starts the next component.
+    Choices in different components never collide, and a member that many
+    earlier members compete with has few free values left when counted."""
+    offering: dict[int, list[int]] = {}  # value -> the members offering it
     for i, opts in enumerate(options):
         for v in opts:
-            parent[root(i)] = root(first.setdefault(v, i))
-    blocks: dict[int, list] = {}
-    for i, opts in enumerate(options):
-        blocks.setdefault(root(i), []).append(opts)
-    return blocks.values()
+            offering.setdefault(v, []).append(i)
+    shared = [0] * len(options)  # per member, how many of its values are taken ones'
+    heap = [(0, len(opts), i) for i, opts in enumerate(options)]
+    heapify(heap)
+    taken, blocks = set(), []
+    while heap:
+        key, _size, i = heappop(heap)
+        if key != -shared[i]:
+            continue  # stale: only a member's latest entry holds its count, and pops once
+        taken.add(i)
+        if not key:
+            blocks.append([])
+        blocks[-1].append(options[i])
+        for v in options[i]:
+            for j in offering.pop(v, ()):  # each value once, when first taken
+                if j not in taken:
+                    shared[j] += 1
+                    heappush(heap, (-shared[j], len(options[j]), j))
+    return blocks
 
 
 #: The nodes one output class's count may visit (a node is a member that
@@ -220,8 +233,10 @@ def injective_choice_count(options) -> int | None:
     Zero when :func:`_has_distinct_choice` finds no way at all; otherwise
     the product, over the connected components of the member-value graph,
     of each component's count, so the work is exponential in the largest
-    component rather than in the class. The components share one budget
-    of ``COUNT_BUDGET`` nodes; None when it runs out."""
+    component rather than in the class. One maximum cardinality search
+    (:func:`_components`) splits the class into components and orders each
+    component's members, and each count runs in that order. The components
+    share one budget of ``COUNT_BUDGET`` nodes; None when it runs out."""
     if not _has_distinct_choice(options):
         return 0
     total, budget = 1, COUNT_BUDGET

@@ -105,6 +105,47 @@ def strong_components(succs: list[list[int]]) -> set[frozenset[int]]:
     return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(succs))}
 
 
+def member_value_components(options: list[list[int]]) -> set[frozenset[int]]:
+    """The connected components of the member-value graph, as sets of
+    member indices: each grows from its least member by re-scanning every
+    pair of members until no member outside shares a value with it."""
+    left, components = set(range(len(options))), set()
+    while left:
+        comp, grown = {min(left)}, True
+        while grown:
+            grown = False
+            for j in sorted(left - comp):
+                if any(set(options[j]) & set(options[i]) for i in comp):
+                    comp.add(j)
+                    grown = True
+        left -= comp
+        components.add(frozenset(comp))
+    return components
+
+
+def counting_order_fault(options: list[list[int]], blocks: list[list[int]]) -> str | None:
+    """The first step at which ``blocks`` (member indices, in the order
+    taken) breaks maximum cardinality order, or None. Before each step,
+    every remaining member's count of values that taken members offer is
+    recomputed from scratch. A block's first member must come when no
+    remaining member has such a value; a later member must have one. Either
+    way it must have the highest count among the remaining members, ties
+    to fewer options, then to the lower index."""
+    taken: list[int] = []
+    for b, block in enumerate(blocks):
+        for pos, i in enumerate(block):
+            offered = {v for t in taken for v in options[t]}
+            remaining = [j for j in range(len(options)) if j not in taken]
+            count = {j: len(set(options[j]) & offered) for j in remaining}
+            best = min(remaining, key=lambda j: (-count[j], len(options[j]), j))
+            if (pos == 0) != (count[best] == 0):
+                return f"block {b} position {pos}: member {best} shares {count[best]} values"
+            if i != best:
+                return f"block {b} position {pos}: member {i} taken before {best}"
+            taken.append(i)
+    return None
+
+
 def naive_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     assert a.cols == b.rows
     rows = []

@@ -12,7 +12,8 @@ import pytest
 import nets
 from conftest import random_lcn
 from nets import paired_classes
-from oracles import all_closed_loop_maps, all_general_feedbacks, all_pairs_obstruction
+from oracles import (all_closed_loop_maps, all_general_feedbacks, all_pairs_obstruction,
+                     counting_order_fault, member_value_components)
 
 from lcnsyn import (
     ClosedLoopController,
@@ -201,6 +202,35 @@ class TestInjectiveChoiceCount:
             assert injective_choice_count(more) == brute_force_count(more), more
         assert 600 < split < 1400
 
+    def test_components_are_found_and_ordered_by_maximum_cardinality_search(self):
+        # 1-9 members in 1-4 blocks, each block drawing either from its own
+        # value range or from ranges that overlap the others'; members are
+        # shuffled across blocks, and shared values join components
+        rng = random.Random(18)
+        split = reordered = 0
+        for trial in range(3000):
+            disjoint = trial % 2 == 0
+            sizes = [1] * rng.randint(1, 4)
+            for _ in range(rng.randint(0, 9 - len(sizes))):
+                sizes[rng.randrange(len(sizes))] += 1
+            opts = []
+            for b, size in enumerate(sizes):
+                base, n = 10 * b if disjoint else rng.randint(0, 4), rng.randint(1, 5)
+                opts += [sorted(rng.sample(range(base, base + n), rng.randint(1, min(n, 3))))
+                         for _ in range(size)]
+            rng.shuffle(opts)
+            index = {id(o): i for i, o in enumerate(opts)}  # the same list object comes back
+            blocks = [[index[id(o)] for o in block] for block in synthesis._components(opts)]
+            assert sorted(i for block in blocks for i in block) == list(range(len(opts))), opts
+            assert set(map(frozenset, blocks)) == member_value_components(opts), opts
+            values = [{v for i in block for v in opts[i]} for block in blocks]
+            assert sum(map(len, values)) == len(set().union(*values)), opts
+            assert counting_order_fault(opts, blocks) is None, (opts, blocks)
+            split += len(blocks) > 1
+            reordered += [i for block in blocks for i in block] != list(range(len(opts)))
+        assert 1000 < split < 2500
+        assert reordered > 2000
+
     def test_pigeonhole_class_is_decided_without_counting(self):
         # the count alone would try every injective placement of
         # the first 39 (or 20) members before finding that none extends
@@ -211,6 +241,14 @@ class TestInjectiveChoiceCount:
 class TestBounds:
     def test_big_network(self):
         assert candidate_bounds(nets.BIG84) == (49152, 7038)
+
+    def test_big_network_counts_within_its_node_count(self, monkeypatch):
+        # in counting order the 5-state class takes 107 nodes (131 in the
+        # given order) and the 3-state class 18: 107 is just enough
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 107)
+        assert candidate_bounds(nets.BIG84) == (49152, 7038)
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 106)
+        assert candidate_bounds(nets.BIG84) == (49152, None)
 
     def test_sink(self):
         naive, refined = candidate_bounds(nets.SINK42_OUT2)
