@@ -15,20 +15,19 @@ enumerates transition maps directly:
   pair merges into the diagonal and the closed loop is unobservable --
   so choices are restricted to be injective within each output class.
 
-The number of such choices per class (``injective_choice_count``,
-counted from the members' option lists that ``_Problem`` derives once
-per call) multiplies into the refined candidate bound; the unrestricted
-product of block column counts is the naive bound. Members that share
-no successor, even through other members, never collide, so a class's
-count is the product of the counts of the connected components of its
-member-successor graph, and only the largest component's size sets the
-exponential cost of counting. One maximum cardinality search splits a
-class into those components and orders each component's members, and
-the count runs in that order, under a node budget per class; a class
-over it has an unknown count (None), and so has the refined bound. A
-class with zero injective choices, or a structural obstruction (two
-equal-output states with identical constant blocks, or a pair locked
-onto itself), proves that no state feedback whatsoever can help.
+A structural obstruction (two equal-output states with identical
+constant blocks, or a pair locked onto itself), or a class whose members
+cannot all get distinct successors (no bipartite matching), proves that
+no state feedback whatsoever can help. The verdict comes from
+``is_observable``, these pre-checks and the sweep, in that order; the
+per-class counts come last and decide nothing. Each class's number of
+injective choices (``injective_choice_count``) multiplies into the
+refined candidate bound; the product of block column counts is the
+naive bound. Members in different connected components of the
+member-successor graph never collide, so a class counts per component,
+in maximum cardinality search order, exponential only in the largest
+component, under a node budget per class: past it the count is unknown
+(None), and so is the refined bound.
 
 Controllability is the opposite story: feedback only ever removes
 transition-graph edges, so an uncontrollable network can never be made
@@ -78,6 +77,9 @@ class Obstruction(Value):
 
 
 class SynthesisReport(Value):
+    """A verdict and its evidence; ``num_factors`` entries are None past the count
+    budget, and ``zero_choice_class`` is 1-based among classes in use, not an output index."""
+
     __slots__ = ("verdict", "witness", "naive_bound", "refined_bound", "num_factors",
                  "candidates_checked", "already_observable", "obstruction", "zero_choice_class")
 
@@ -315,16 +317,14 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     Already-observable networks short-circuit to SYNTHESIZED with the
     constant-first-input controller as witness (restricting every pair
     to one input removes edges only, so it preserves observability).
-    Otherwise the structural obstructions and the zero-choice class test
-    run first; then candidates are swept in order until one verifies
-    observable. Exhausting them proves no state feedback of any size can
-    help. A candidate cap (``max_candidates``) turns exhaustion into
-    DECISION_INCOMPLETE instead of guessing; a cap that is not an int
-    (a bool included) raises TypeError, a negative one ValueError, both
-    before any work. ``backend`` names the sweep kernel and must be "auto" or
-    "python", the only one there is. A class whose count runs over its
-    budget is None in ``num_factors`` and, unless another class counts 0,
-    in ``refined_bound``; an unknown count never decides the verdict.
+    Otherwise the structural obstruction, then a matching per class (the
+    zero-choice test), then a sweep of the candidates in order until one
+    verifies observable; exhausting them proves no state feedback of any
+    size can help. The counts come last, for every outcome. A candidate
+    cap (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
+    instead of guessing; a cap that is not an int (a bool included)
+    raises TypeError, a negative one ValueError, both before any work.
+    ``backend`` names the sweep kernel: "auto" or "python", the only one.
     """
     if max_candidates is not None:
         if isinstance(max_candidates, bool) or not isinstance(max_candidates, int):
@@ -334,27 +334,27 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     if backend not in ("auto", "python"):
         raise ValueError(f"unknown backend {backend!r}; expected auto or python")
     problem = _Problem(lcn)
-    naive, refined, nums = problem.bounds()
+    def report(verdict, witness=None, checked=0, **pruned) -> SynthesisReport:
+        return SynthesisReport(verdict, witness, *problem.bounds(),
+                               candidates_checked=checked, **pruned)
 
     if is_observable(lcn):
         witness = ClosedLoopController((1,) * lcn.state_dim)
-        return SynthesisReport(Verdict.SYNTHESIZED, witness, naive, refined, nums,
-                               candidates_checked=0, already_observable=True)
+        return report(Verdict.SYNTHESIZED, witness, already_observable=True)
 
     obstruction = structural_obstruction(problem.classes, problem.succ)
-    zero_class = next((i + 1 for i, v in enumerate(nums) if v == 0), None)
+    zero_class = next((i + 1 for i, cls in enumerate(problem.classes)
+                       if not _has_distinct_choice([problem.succ[x] for x in cls])), None)
     if obstruction is not None or zero_class is not None:
-        return SynthesisReport(Verdict.NOT_SYNTHESIZABLE, None, naive, refined, nums,
-                               candidates_checked=0, obstruction=obstruction,
-                               zero_choice_class=zero_class)
+        return report(Verdict.NOT_SYNTHESIZABLE, obstruction=obstruction,
+                      zero_choice_class=zero_class)
 
     cap = -1 if max_candidates is None else max_candidates
     status, checked, succ0 = _kernel_py.sweep_first_observable(
         problem.classes, problem.succ, lcn.H.col_indices, cap
     )
     witness = None if succ0 is None else controller_for_map(lcn, succ0)
-    return SynthesisReport(_SWEEP_VERDICTS[status], witness, naive, refined, nums,
-                           candidates_checked=checked)
+    return report(_SWEEP_VERDICTS[status], witness, checked)
 
 
 def controllability_synthesis_verdict(lcn: Lcn) -> ControllabilityVerdict:

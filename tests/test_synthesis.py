@@ -475,16 +475,56 @@ class TestSynthesize:
                 assert result.candidates_checked == 2
 
     def test_count_over_budget_is_unknown(self, monkeypatch):
+        rng = random.Random(0xB06E7)
+        lcns = [*(random_lcn(rng, 8, 3, 3) for _ in range(300)), *nets.ALL_REFERENCE_NETS]
+        counted = [synthesize_observability(lcn) for lcn in lcns]
+        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 0)
         # BIG84's classes of 5 and 3 states are one component each, and both
         # need nodes to count; with none allowed both counts are unknown
-        counted = synthesize_observability(nets.BIG84)
-        monkeypatch.setattr(synthesis, "COUNT_BUDGET", 0)
         assert candidate_bounds(nets.BIG84) == (49152, None)
         report = synthesize_observability(nets.BIG84)
         assert (report.refined_bound, report.num_factors) == (None, (None, None))
-        # the verdict does not read the counts: the sweep is the same
-        assert (report.verdict, report.candidates_checked, report.witness) == \
-            (counted.verdict, counted.candidates_checked, counted.witness)
+        # no verdict reads the counts: every field but the bounds is the same
+        fields = ("verdict", "witness", "candidates_checked", "obstruction",
+                  "zero_choice_class", "already_observable")
+        for lcn, full in zip(lcns, counted):
+            unknown = synthesize_observability(lcn)
+            for field in fields:
+                assert getattr(unknown, field) == getattr(full, field), (lcn, field)
+            # the matching names the first class whose count is 0
+            assert None not in full.num_factors
+            assert full.zero_choice_class == \
+                next((i + 1 for i, n in enumerate(full.num_factors) if n == 0), None)
+
+    @pytest.mark.parametrize("lcn, steps, counts", [
+        (nets.TRI32, ["is_observable"], [3, 1]),
+        (nets.SINK42_OUT2, ["is_observable", "structural_obstruction"], [0, 2]),
+        (LOCKED22, ["is_observable", "structural_obstruction"], [1]),
+        (nets.BIG84, ["is_observable", "structural_obstruction", "sweep_first_observable"],
+         [153, 46]),
+    ])
+    def test_verdict_is_decided_before_any_count(self, lcn, steps, counts, monkeypatch):
+        # the counts are the report's last step: each verdict step returns first
+        events = []
+
+        def recorded(name, func):
+            def call(*args):
+                events.append(("start", name))
+                result = func(*args)
+                events.append(("end", name, result) if name == "injective_choice_count"
+                              else ("end", name))
+                return result
+            return call
+
+        for owner, name in ((synthesis, "is_observable"), (synthesis, "structural_obstruction"),
+                            (synthesis._kernel_py, "sweep_first_observable"),
+                            (synthesis, "injective_choice_count")):
+            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        synthesize_observability(lcn)
+        expected = [e for step in steps for e in (("start", step), ("end", step))]
+        for n in counts:
+            expected += [("start", "injective_choice_count"), ("end", "injective_choice_count", n)]
+        assert events == expected
 
     def test_class_without_choices_bounds_beside_an_unknown_count(self, monkeypatch):
         # states 1-3 (output 1) all step to state 1: no injective choice, by
