@@ -17,18 +17,22 @@ irrelevant to the decision). The network is unobservable exactly when
 some non-diagonal vertex has a path (possibly empty) to a vertex on a
 cycle; DIAG counts as on a cycle.
 
-Both decisions read successors straight from ``L`` and Tarjan's
-strongly connected components. Tarjan's algorithm runs on a stack of
-successor iterators, without recursion, and emits each component only
-after every component it reaches. So the last one has no predecessor: the
-controllability witness source is the greatest state outside it if it
-reaches every state, and state N otherwise. :func:`is_observable` takes
-the pairs in lexicographic order and explores, breadth first, only what
-each one reaches, leaving out the pairs already known to reach no cycle;
-a component is cyclic when it has two or more vertices or a self-loop.
-Only :func:`observability_graph`, the DOT text's source, materialises
-the pair graph, and it refuses more than :data:`GRAPH_CAP` pair-input
-cells (equal-output pairs times inputs).
+Both decisions read successors straight from ``L``. Controllability
+reads Tarjan's strongly connected components. Tarjan's algorithm runs on
+a stack of successor iterators, without recursion, and emits each
+component only after every component it reaches. So the last one has no
+predecessor: the controllability witness source is the greatest state
+outside it if it reaches every state, and state N otherwise.
+Observability is decided by one depth-first walk over the pairs in
+lexicographic order (:func:`_least_unsafe_pair`), which stops at the
+first pair that merges into DIAG or steps back onto its own path; that
+is all :mod:`lcnsyn.synthesis` reads. :func:`is_observable` then
+explores, breadth first, only what the witness pair reaches, leaving out
+the pairs the walk proved safe, and finds its shortest path to a cycle
+with Tarjan's components; a component is cyclic when it has two or more
+vertices or a self-loop. Only :func:`observability_graph`, the DOT
+text's source, materialises the pair graph, and it refuses more than
+:data:`GRAPH_CAP` pair-input cells (equal-output pairs times inputs).
 """
 
 from __future__ import annotations
@@ -270,49 +274,111 @@ def observability_graph(lcn: Lcn) -> ObservabilityGraph:
     return ObservabilityGraph(vertices, tuple(edges))
 
 
+def _held_too_many(held: int) -> MatrixSizeError:
+    return MatrixSizeError(f"observability decision holding {held} "
+                           f"equal-output pairs exceeds cap {CELL_CAP}")
+
+
+def _least_unsafe_pair(lcn: Lcn):
+    """(root, safe): the least equal-output pair (pairs ordered
+    lexicographically) that reaches a cycle of the pair graph, None when
+    no pair does, and the keys ``i*(N+1)+j`` of the pairs (i, j) proven
+    to reach no cycle.
+
+    Each root not yet proven safe is walked depth first, without
+    recursion, on a stack of ``(i, j, next input)`` frames; one dict maps
+    each pair taken to False while it is on the current path and True once
+    it is safe. The walk stops at the first input that merges a pair
+    (DIAG is on a cycle) or steps back onto the current path, self-loops
+    included: that root is the answer. A pair whose inputs are all taken
+    reaches only safe pairs, so it is safe. Raises
+    :class:`MatrixSizeError` at the first pair taken past
+    :data:`CELL_CAP`.
+    """
+    n, m, cols, out = lcn.state_dim, lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
+    cap, width = CELL_CAP, n + 1
+    classes = output_partition(lcn)  # output -> its states ascending: pairs come sorted
+    state: dict[int, bool] = {}
+
+    def unsafe(stack):  # the answer, with the current path set aside
+        for i, j, _u in stack:
+            del state[i * width + j]
+        return stack[0][:2], state.keys()
+
+    for x in range(1, n + 1):
+        for y in classes[out[x - 1]]:
+            if y <= x or x * width + y in state:
+                continue  # not a root, or safe
+            state[x * width + y] = False
+            if len(state) > cap:
+                raise _held_too_many(len(state))
+            stack = [(x, y, 0)]
+            while stack:
+                i, j, u = stack[-1]
+                bi, bj = (i - 1) * m, (j - 1) * m
+                while u < m:
+                    a, b = cols[bi + u], cols[bj + u]
+                    u += 1
+                    if a == b:
+                        return unsafe(stack)  # merged
+                    if out[a - 1] != out[b - 1]:
+                        continue  # no edge
+                    if a > b:
+                        a, b = b, a
+                    on_path = state.get(a * width + b)
+                    if on_path is None:  # a new pair: step onto it
+                        state[a * width + b] = False
+                        if len(state) > cap:
+                            raise _held_too_many(len(state))
+                        stack[-1] = (i, j, u)
+                        stack.append((a, b, 0))
+                        break
+                    if not on_path:
+                        return unsafe(stack)  # back onto the current path
+                else:  # every input taken
+                    stack.pop()
+                    state[i * width + j] = True
+    return None, state.keys()
+
+
 def is_observable(lcn: Lcn) -> ObservabilityResult:
     """Observable iff no equal-output pair can reach a cycle.
 
-    The failure witness is the least such pair (pairs ordered
-    lexicographically) together with its shortest path to a cyclic
-    vertex; BFS ties are broken by vertex order, DIAG last.
+    :func:`_least_unsafe_pair` decides, and names the witness pair: the
+    least such pair (pairs ordered lexicographically). Only then is the
+    part of the pair graph that pair reaches, the safe pairs aside,
+    explored breadth first for its shortest path to a cyclic vertex; BFS
+    ties are broken by vertex order, DIAG last. Safe pairs reach only safe
+    pairs, so setting them aside changes no path to a cycle.
 
-    Raises :class:`MatrixSizeError` once the equal-output pairs it holds,
-    the safe ones and the current root's exploration, exceed
-    :data:`CELL_CAP`.
+    Raises :class:`MatrixSizeError` at the first pair taken past
+    :data:`CELL_CAP` equal-output pairs held: the safe ones and the current
+    walk, or the safe ones and the witness pair's exploration.
     """
-    m, cols, out = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
-    members = output_partition(lcn)  # output -> its states ascending: pairs come sorted
-    pairs = ((i, j) for i in range(1, lcn.state_dim + 1) for j in members[out[i - 1]] if j > i)
-    safe: set = set()  # pairs that reach no cycle
-    for root in pairs:
-        if root in safe:
-            continue
-        verts, pos, parent, succs = [root], {root: 0}, [None], []
-        room = CELL_CAP - len(safe)  # pairs this root's exploration may hold
-        for k, v in enumerate(verts):  # breadth first over what root reaches, safe pairs aside
-            targets = [v] if v is DIAG else _pair_targets(m, cols, out, *v)
-            targets = sorted(targets, key=_vertex_key)
-            for t in targets:
-                if t not in pos and t not in safe:
-                    pos[t] = len(verts)
-                    verts.append(t)
-                    parent.append(k)
-            succs.append([pos[t] for t in targets if t in pos])
-            if (held := len(verts) - (DIAG in pos)) > room:
-                raise MatrixSizeError(f"observability decision holding {held + len(safe)} "
-                                      f"equal-output pairs exceeds cap {CELL_CAP}")
-        cyclic = [min(c) for c in _strong_components(succs) if len(c) > 1 or c[0] in succs[c[0]]]
-        if not cyclic:
-            safe.update(verts)
-            continue
-        path, k = [], min(cyclic)  # BFS discovers vertices in order of distance
-        while k is not None:
-            path.append(verts[k])
-            k = parent[k]
-        path.reverse()
-        return ObservabilityResult(False, ObservabilityWitness(root, tuple(path), path[-1]))
-    return ObservabilityResult(True, None)
+    root, safe = _least_unsafe_pair(lcn)
+    if root is None:
+        return ObservabilityResult(True, None)
+    m, cols, out, width = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices, lcn.state_dim + 1
+    verts, pos, parent, succs = [root], {root: 0}, [None], []
+    held = len(safe) + 1
+    for k, v in enumerate(verts):  # breadth first over what root reaches, safe pairs aside
+        targets = [v] if v is DIAG else _pair_targets(m, cols, out, *v)
+        targets = sorted(targets, key=_vertex_key)
+        for t in targets:
+            if t not in pos and (t is DIAG or t[0] * width + t[1] not in safe):
+                pos[t] = len(verts)
+                verts.append(t)
+                parent.append(k)
+                if t is not DIAG and (held := held + 1) > CELL_CAP:
+                    raise _held_too_many(held)
+        succs.append([pos[t] for t in targets if t in pos])
+    cyclic = [min(c) for c in _strong_components(succs) if len(c) > 1 or c[0] in succs[c[0]]]
+    path, k = [], min(cyclic)  # BFS discovers vertices in order of distance
+    while k is not None:
+        path.append(verts[k])
+        k = parent[k]
+    path.reverse()
+    return ObservabilityResult(False, ObservabilityWitness(root, tuple(path), path[-1]))
 
 
 def _pair_name(v, top: int) -> str:

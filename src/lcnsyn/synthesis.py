@@ -18,16 +18,18 @@ enumerates transition maps directly:
 A structural obstruction (two equal-output states with identical
 constant blocks, or a pair locked onto itself), or a class whose members
 cannot all get distinct successors (no bipartite matching), proves that
-no state feedback whatsoever can help. The verdict comes from
-``is_observable``, these pre-checks and the sweep, in that order; the
-per-class counts come last and decide nothing. Each class's number of
-injective choices (``injective_choice_count``) multiplies into the
-refined candidate bound; the product of block column counts is the
-naive bound. Members in different connected components of the
-member-successor graph never collide, so a class counts per component,
-in maximum cardinality search order, exponential only in the largest
-component, under a node budget per class: past it the count is unknown
-(None), and so is the refined bound.
+no state feedback whatsoever can help. The verdict comes from the
+open-loop observability decision (a depth-first walk of the pair graph
+that stops at the first merge or cycle and builds no witness path),
+these pre-checks and the sweep, in that order; the per-class counts come
+last and decide nothing. Each class's number of injective choices
+(``injective_choice_count``) multiplies into the refined candidate
+bound; the product of block column counts is the naive bound. Members in
+different connected components of the member-successor graph never
+collide, so a class counts per component, in maximum cardinality search
+order, exponential only in the largest component, under a node budget
+per class: past it the count is unknown (None), and so is the refined
+bound.
 
 Controllability is the opposite story: feedback only ever removes
 transition-graph edges, so an uncontrollable network can never be made
@@ -44,8 +46,10 @@ from math import prod
 
 from . import _kernel_py
 from ._value import Value
-from .analysis import (_check_pair_count, _successors, is_controllable, is_observable,
-                       output_partition)
+# is_observable is unused here, but stays a name of this module: the
+# benchmark's tracer tests (perfbench/tests) read synthesis.is_observable
+from .analysis import (_check_pair_count, _least_unsafe_pair, _successors, is_controllable,
+                       is_observable, output_partition)
 from .feedback import ClosedLoopController
 from .model import Lcn
 
@@ -317,6 +321,8 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     Already-observable networks short-circuit to SYNTHESIZED with the
     constant-first-input controller as witness (restricting every pair
     to one input removes edges only, so it preserves observability).
+    That check is ``analysis._least_unsafe_pair``'s verdict alone: an
+    unobservable network needs no witness path here.
     Otherwise the structural obstruction, then a matching per class (the
     zero-choice test), then a sweep of the candidates in order until one
     verifies observable; exhausting them proves no state feedback of any
@@ -338,7 +344,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         return SynthesisReport(verdict, witness, *problem.bounds(),
                                candidates_checked=checked, **pruned)
 
-    if is_observable(lcn):
+    if _least_unsafe_pair(lcn)[0] is None:
         witness = ClosedLoopController((1,) * lcn.state_dim)
         return report(Verdict.SYNTHESIZED, witness, already_observable=True)
 

@@ -330,6 +330,7 @@ class TestIsObservable:
                     *(random_lcn(rng, n_max=9, m_max=3, q_max=3) for _ in range(5000))]:
             result = is_observable(lcn)
             assert result == graph_observability(lcn)
+            assert analysis._least_unsafe_pair(lcn)[0] == (result.witness and result.witness.pair)
             unobservable += not result
         assert 1000 < unobservable < 4500  # both verdicts are well covered
 
@@ -343,6 +344,21 @@ class TestIsObservable:
         monkeypatch.setattr(analysis, "CELL_CAP", 11)
         with pytest.raises(MatrixSizeError, match="holding 12 equal-output pairs exceeds cap 11"):
             is_observable(ring)
+
+    def test_refuses_at_the_first_pair_past_the_cap(self, monkeypatch):
+        # pairs (1, 2), (3, 4), (5, 6), (7, 8), two inputs: (1, 2) is safe,
+        # (3, 4) loops onto itself on input 1 and steps to (5, 6) on input 2,
+        # (5, 6) steps to (7, 8) and to (1, 2), and (7, 8) has no edge; the
+        # decision holds 2 pairs, the witness's exploration 4
+        lcn = Lcn(8, 2, 4, LogicalMatrix(8, (1, 1, 3, 3, 3, 5, 4, 6, 7, 1, 8, 2, 1, 1, 3, 3)),
+                  LogicalMatrix(4, (1, 1, 2, 2, 3, 3, 4, 4)))
+        for cap in range(4):
+            monkeypatch.setattr(analysis, "CELL_CAP", cap)
+            with pytest.raises(MatrixSizeError,
+                               match=f"holding {cap + 1} equal-output pairs exceeds cap {cap}$"):
+                is_observable(lcn)
+        monkeypatch.setattr(analysis, "CELL_CAP", 4)
+        assert is_observable(lcn).witness == ObservabilityWitness((3, 4), ((3, 4),), (3, 4))
 
     def test_the_diagonal_is_not_a_held_pair(self, monkeypatch):
         # both states step onto state 1: pair (1, 2) merges into DIAG
@@ -365,6 +381,7 @@ class TestIsObservable:
         for _ in range(150):
             lcn = random_lcn(rng)
             assert is_observable(lcn).observable == oracle_observable(lcn)
+            assert (analysis._least_unsafe_pair(lcn)[0] is None) == oracle_observable(lcn)
 
     def test_controllable_matches_reachability_oracle(self, rng):
         for _ in range(150):

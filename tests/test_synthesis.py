@@ -31,7 +31,7 @@ from lcnsyn import (
     output_partition,
     synthesize_observability,
 )
-from lcnsyn import kernel, synthesis
+from lcnsyn import analysis, kernel, synthesis
 from lcnsyn.synthesis import _Problem, injective_choice_count, structural_obstruction
 
 # Two equal-output states each locked onto itself: candidates exist but
@@ -497,10 +497,10 @@ class TestSynthesize:
                 next((i + 1 for i, n in enumerate(full.num_factors) if n == 0), None)
 
     @pytest.mark.parametrize("lcn, steps, counts", [
-        (nets.TRI32, ["is_observable"], [3, 1]),
-        (nets.SINK42_OUT2, ["is_observable", "structural_obstruction"], [0, 2]),
-        (LOCKED22, ["is_observable", "structural_obstruction"], [1]),
-        (nets.BIG84, ["is_observable", "structural_obstruction", "sweep_first_observable"],
+        (nets.TRI32, ["_least_unsafe_pair"], [3, 1]),
+        (nets.SINK42_OUT2, ["_least_unsafe_pair", "structural_obstruction"], [0, 2]),
+        (LOCKED22, ["_least_unsafe_pair", "structural_obstruction"], [1]),
+        (nets.BIG84, ["_least_unsafe_pair", "structural_obstruction", "sweep_first_observable"],
          [153, 46]),
     ])
     def test_verdict_is_decided_before_any_count(self, lcn, steps, counts, monkeypatch):
@@ -516,7 +516,8 @@ class TestSynthesize:
                 return result
             return call
 
-        for owner, name in ((synthesis, "is_observable"), (synthesis, "structural_obstruction"),
+        for owner, name in ((synthesis, "_least_unsafe_pair"),
+                            (synthesis, "structural_obstruction"),
                             (synthesis._kernel_py, "sweep_first_observable"),
                             (synthesis, "injective_choice_count")):
             monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
@@ -525,6 +526,22 @@ class TestSynthesize:
         for n in counts:
             expected += [("start", "injective_choice_count"), ("end", "injective_choice_count", n)]
         assert events == expected
+
+    def test_verdict_needs_no_witness_path(self, monkeypatch):
+        # the verdict reads only whether some pair reaches a cycle, never the
+        # shortest path that is_observable builds for its witness
+        observable = [bool(is_observable(lcn)) for lcn in nets.ALL_REFERENCE_NETS]
+
+        def refuse(lcn):
+            raise AssertionError("is_observable was called")
+
+        monkeypatch.setattr(synthesis, "is_observable", refuse)
+        monkeypatch.setattr(analysis, "is_observable", refuse)
+        for lcn, expected in zip(nets.ALL_REFERENCE_NETS, observable):
+            assert synthesize_observability(lcn).already_observable == expected
+        # is_observable explores the 399 563 pairs that its witness (1, 2) reaches
+        report = synthesize_observability(nets.random_network(0, 1400, 2, 1))
+        assert (report.verdict, report.zero_choice_class) == (Verdict.NOT_SYNTHESIZABLE, 1)
 
     def test_class_without_choices_bounds_beside_an_unknown_count(self, monkeypatch):
         # states 1-3 (output 1) all step to state 1: no injective choice, by
