@@ -279,11 +279,12 @@ def _held_too_many(held: int) -> MatrixSizeError:
                            f"equal-output pairs exceeds cap {CELL_CAP}")
 
 
-def _least_unsafe_pair(lcn: Lcn):
+def _least_unsafe_pair(lcn: Lcn, partition: dict[int, tuple[int, ...]] | None = None):
     """(root, safe): the least equal-output pair (pairs ordered
     lexicographically) that reaches a cycle of the pair graph, None when
     no pair does, and the keys ``i*(N+1)+j`` of the pairs (i, j) proven
-    to reach no cycle.
+    to reach no cycle. ``partition`` is ``lcn``'s :func:`output_partition`,
+    built here when not given.
 
     Each root not yet proven safe is walked depth first, without
     recursion, on a stack of ``(i, j, next input)`` frames; one dict maps
@@ -297,7 +298,8 @@ def _least_unsafe_pair(lcn: Lcn):
     """
     n, m, cols, out = lcn.state_dim, lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     cap, width = CELL_CAP, n + 1
-    classes = output_partition(lcn)  # output -> its states ascending: pairs come sorted
+    # output -> its states ascending: pairs come sorted
+    classes = output_partition(lcn) if partition is None else partition
     state: dict[int, bool] = {}
 
     def unsafe(stack):  # the answer, with the current path set aside

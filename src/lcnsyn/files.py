@@ -43,7 +43,10 @@ def _require_int(doc, key: str, violations: list[str]) -> int | None:
 
 
 def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+    """Whether ``v`` is a list of integers, bools excluded. Each entry's
+    type is read once; only the distinct types are then checked."""
+    return isinstance(v, list) and all(issubclass(t, int) and t is not bool
+                                       for t in set(map(type, v)))
 
 
 def _opt_int_list(doc, key: str, violations: list[str]):
@@ -105,12 +108,15 @@ def network_from_dict(doc: dict) -> Lcn:
         # built only once validation has checked L against the declared N
         lmat, hmat = LogicalMatrix(n, lcols), None if hcols is None else LogicalMatrix(q, hcols)
     factor_args = (factors["state_factors"], factors["input_factors"], factors["output_factors"])
-    violations = validate(Lcn(n, m, q, lmat, hmat, *factor_args))
+    lcn = Lcn(n, m, q, lmat, hmat, *factor_args)
+    violations = validate(lcn)
     if hmat is None:  # the identity stands in for it; see above
         violations.remove(MISSING_H)
     if violations:
         raise FileFormatError(violations)
-    return Lcn(n, m, q, lmat, logical_identity(n) if hmat is None else hmat, *factor_args)
+    if hmat is None:
+        return Lcn(n, m, q, lmat, logical_identity(n), *factor_args)
+    return lcn
 
 
 def network_to_dict(lcn: Lcn) -> dict:

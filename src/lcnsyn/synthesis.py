@@ -29,7 +29,8 @@ different connected components of the member-successor graph never
 collide, so a class counts per component, in maximum cardinality search
 order, exponential only in the largest component, under a node budget
 per class: past it the count is unknown (None), and so is the refined
-bound.
+bound. Each node of a count does constant work: the last member's number
+of free options is kept up to date as values are taken and freed.
 
 Controllability is the opposite story: feedback only ever removes
 transition-graph edges, so an uncontrollable network can never be made
@@ -196,7 +197,9 @@ def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
     once more than ``budget`` nodes are visited. Depth first on a stack of
     option iterators, one per member, and one set of used values. The
     second-to-last member does not step into the last: each free value v
-    it takes adds the last member's options that are neither used nor v."""
+    it takes adds the last member's free options, less v if it is one.
+    That number, ``free``, is kept up to date as values are taken and
+    freed, so every node does constant work."""
     *walk, last = options
     if not walk:
         return len(last), budget
@@ -204,10 +207,9 @@ def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
     top = len(walk) - 1  # the second-to-last member
     used, chosen = set(), [0] * top
     its = [iter(walk[0])] + [None] * (top - 1)
-    total, pos = 0, 0
+    total, pos, free = 0, 0, len(last)  # free: the last member's options not used
     while budget >= 0:
         if pos == top:
-            free = len(last) - len(last & used)
             for v in walk[top]:
                 if v not in used:
                     total += free - (v in last)
@@ -221,6 +223,8 @@ def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
             if v >= 0:
                 budget -= 1
                 used.add(v)
+                if v in last:
+                    free -= 1
                 chosen[pos] = v
                 pos += 1
                 if pos < top:
@@ -229,7 +233,10 @@ def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
         pos -= 1  # no free value left: step back and free the previous member's
         if pos < 0:
             break
-        used.discard(chosen[pos])
+        v = chosen[pos]
+        used.discard(v)
+        if v in last:
+            free += 1
     return (total, budget) if budget >= 0 else (None, 0)
 
 
@@ -255,18 +262,21 @@ def injective_choice_count(options) -> int | None:
 
 
 class _Problem:
-    """One synthesis problem, prepared once per call. Lists each output
-    class's ascending states as ``classes`` (classes in ascending output
-    order), refuses more than ``CELL_CAP`` equal-output pairs before
-    anything else, then derives each state's sorted distinct successors
-    ``succ``, which the pre-checks and the sweep share, all 0-based as
-    ``_kernel_py`` takes them.
+    """One synthesis problem, prepared once per call. Keeps the network's
+    ``partition`` (:func:`output_partition`, 1-based), which the
+    observability decision reads too, and lists each output class's
+    ascending states as ``classes`` (classes in ascending output order).
+    Refuses more than ``CELL_CAP`` equal-output pairs before anything
+    else, then derives each state's sorted distinct successors ``succ``,
+    which the pre-checks and the sweep share. ``classes`` and ``succ``
+    are 0-based, as ``_kernel_py`` takes them.
     """
 
-    __slots__ = ("classes", "succ")
+    __slots__ = ("partition", "classes", "succ")
 
     def __init__(self, lcn: Lcn) -> None:
-        self.classes = [[x - 1 for x in members] for members in output_partition(lcn).values()]
+        self.partition = output_partition(lcn)
+        self.classes = [[x - 1 for x in members] for members in self.partition.values()]
         _check_pair_count(map(len, self.classes))  # before any counting
         self.succ = _successors(lcn)
 
@@ -344,7 +354,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         return SynthesisReport(verdict, witness, *problem.bounds(),
                                candidates_checked=checked, **pruned)
 
-    if _least_unsafe_pair(lcn)[0] is None:
+    if _least_unsafe_pair(lcn, problem.partition)[0] is None:
         witness = ClosedLoopController((1,) * lcn.state_dim)
         return report(Verdict.SYNTHESIZED, witness, already_observable=True)
 

@@ -146,6 +146,20 @@ def counting_order_fault(options: list[list[int]], blocks: list[list[int]]) -> s
     return None
 
 
+def budgeted_choice_count(options: list[list[int]], budget: int):
+    """(count, budget left) for the pairwise-distinct choices from the
+    option lists, members in the given order, or (None, 0) when the nodes
+    exceed ``budget``. Every injective choice for the first j members,
+    j = 1 .. len - 1, is a node, built one prefix length at a time and
+    counted as a whole; the last member's choices are counted, not nodes."""
+    prefixes, nodes = [()], 0
+    for opts in options[:-1]:
+        prefixes = [p + (v,) for p in prefixes for v in opts if v not in p]
+        nodes += len(prefixes)
+    count = sum(1 for p in prefixes for v in options[-1] if v not in p)
+    return (count, budget - nodes) if nodes <= budget else (None, 0)
+
+
 def naive_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     assert a.cols == b.rows
     rows = []

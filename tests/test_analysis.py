@@ -35,6 +35,7 @@ from lcnsyn import (
     is_observable,
     logical_identity,
     observability_graph,
+    output_partition,
     stp,
     swap_matrix,
     synthesize_observability,
@@ -330,7 +331,11 @@ class TestIsObservable:
                     *(random_lcn(rng, n_max=9, m_max=3, q_max=3) for _ in range(5000))]:
             result = is_observable(lcn)
             assert result == graph_observability(lcn)
-            assert analysis._least_unsafe_pair(lcn)[0] == (result.witness and result.witness.pair)
+            root, safe = analysis._least_unsafe_pair(lcn)
+            assert root == (result.witness and result.witness.pair)
+            # a partition passed in, as synthesis passes its own, decides the same
+            given_root, given_safe = analysis._least_unsafe_pair(lcn, output_partition(lcn))
+            assert (given_root, set(given_safe)) == (root, set(safe))
             unobservable += not result
         assert 1000 < unobservable < 4500  # both verdicts are well covered
 

@@ -2,12 +2,14 @@
 
 import json
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 
 import nets
 
-from lcnsyn import ClosedLoopController, StateFeedback, validate
+from lcnsyn import (ClosedLoopController, Lcn, LogicalMatrix, StateFeedback, files,
+                    logical_identity, validate)
 from lcnsyn.files import (
     FileFormatError,
     load_controller,
@@ -23,19 +25,83 @@ from lcnsyn.files import (
 
 class TestNetworkFiles:
     def test_load_reference_fixtures(self, fixtures_dir):
-        for name, expected in (
-            ("funnel44.json", nets.FUNNEL44),
-            ("ring42.json", nets.RING42),
-            ("ring42_out2.json", nets.RING42_OUT2),
-            ("big84.json", nets.BIG84),
-            ("big84_cl_ones.json", nets.BIG84_CL_ONES),
-            ("big84_cl_mix.json", nets.BIG84_CL_MIX),
-            ("tri32.json", nets.TRI32),
-            ("tri32_cl.json", nets.TRI32_CL),
-        ):
-            lcn = load_network(fixtures_dir / name)
-            assert lcn == expected
+        # every network fixture equals its reference net, and an Lcn built
+        # straight from its JSON fields, an omitted H read as the identity
+        expected = {"funnel44": nets.FUNNEL44, "ring42": nets.RING42,
+                    "ring42_out2": nets.RING42_OUT2, "ring42_fb_out2": nets.RING42_FB_OUT2,
+                    "sink42_out2": nets.SINK42_OUT2, "big84": nets.BIG84,
+                    "big84_cl_ones": nets.BIG84_CL_ONES, "big84_cl_mix": nets.BIG84_CL_MIX,
+                    "tri32": nets.TRI32, "tri32_cl": nets.TRI32_CL}
+        loaded = set()
+        for path in sorted(fixtures_dir.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "N" not in doc or path.stem == "bad_short_L":
+                continue  # a controller, or refused (test_short_l_reports_violation)
+            n, q = doc["N"], doc["Q"]
+            h = LogicalMatrix(q, doc["H"]) if "H" in doc else logical_identity(n)
+            lcn = load_network(path)
+            assert lcn == Lcn(n, doc["M"], q, LogicalMatrix(n, doc["L"]), h), path.name
+            assert lcn == expected[path.stem]
             assert validate(lcn) == []
+            loaded.add(path.stem)
+        assert loaded == set(expected)
+
+    def test_returns_the_network_it_validated(self, monkeypatch):
+        # with H given, the network checked is the one returned; with H
+        # omitted, the identity is built once, and only after L passes
+        validated, built = [], []
+        monkeypatch.setattr(files, "validate",
+                            lambda lcn, check=files.validate: validated.append(lcn) or check(lcn))
+        monkeypatch.setattr(files, "logical_identity",
+                            lambda n, make=files.logical_identity: built.append(n) or make(n))
+        doc = {"N": 3, "M": 2, "Q": 2, "L": [1, 3, 3, 2, 1, 1], "H": [1, 1, 2]}
+        assert network_from_dict(doc) is validated[-1]
+        assert network_from_dict(doc) == nets.TRI32
+        assert built == []
+        for bad_l in ([1, 3, 3, 2, 1], [1, 3, 3, 2, 1, 4]):
+            with pytest.raises(FileFormatError, match="^L "):
+                network_from_dict({"N": 3, "M": 2, "Q": 3, "L": bad_l})
+        assert built == []
+        lcn = network_from_dict({"N": 3, "M": 2, "Q": 3, "L": [1, 3, 3, 2, 1, 1]})
+        assert built == [3]
+        assert lcn.H == logical_identity(3)
+        assert validated[-1].H is None
+
+    @pytest.mark.parametrize("key", ["N", "M", "Q"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, "2", None, [2]])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, key, value):
+        doc = {"N": 2, "M": 1, "Q": 2, "L": [2, 1], "H": [1, 2], key: value}
+        with pytest.raises(FileFormatError) as exc_info:
+            network_from_dict(doc)
+        assert exc_info.value.violations == [f"{key} must be an integer, got {value!r}"]
+
+    @pytest.mark.parametrize("key", ["L", "H", "state_factors", "input_factors", "output_factors"])
+    @pytest.mark.parametrize("value", [[2, True], [False], [1, 2.0], ["2"], [1, None], [[2]],
+                                       True, 2, "21", {"1": 2}, (2, 1)])
+    def test_rejects_a_list_that_is_not_of_integers(self, key, value):
+        doc = {"N": 2, "M": 1, "Q": 2, "L": [2, 1], "H": [1, 2], key: value}
+        with pytest.raises(FileFormatError) as exc_info:
+            network_from_dict(doc)
+        assert exc_info.value.violations == [f"{key} must be a list of integers"]
+
+    def test_reports_every_entry_that_is_not_an_integer_in_key_order(self):
+        doc = {"N": 2, "M": True, "Q": 2.5, "L": [2, False], "H": [1, 2], "input_factors": ["1"]}
+        with pytest.raises(FileFormatError) as exc_info:
+            network_from_dict(doc)
+        assert exc_info.value.violations == ["M must be an integer, got True",
+                                             "Q must be an integer, got 2.5",
+                                             "input_factors must be a list of integers",
+                                             "L must be a list of integers"]
+
+    def test_accepts_integer_subclasses_other_than_bool(self):
+        class Index(IntEnum):
+            ONE = 1
+            TWO = 2
+
+        doc = {"N": Index.TWO, "M": 1, "Q": 2, "L": [Index.TWO, 1], "H": [Index.ONE, 2],
+               "state_factors": [Index.TWO]}
+        assert network_from_dict(doc) == Lcn(2, 1, 2, LogicalMatrix(2, (2, 1)),
+                                             LogicalMatrix(2, (1, 2)), (2,))
 
     def test_round_trip(self, tmp_path):
         for lcn in nets.ALL_REFERENCE_NETS:

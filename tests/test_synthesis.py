@@ -13,7 +13,7 @@ import nets
 from conftest import random_lcn
 from nets import paired_classes
 from oracles import (all_closed_loop_maps, all_general_feedbacks, all_pairs_obstruction,
-                     counting_order_fault, member_value_components)
+                     budgeted_choice_count, counting_order_fault, member_value_components)
 
 from lcnsyn import (
     ClosedLoopController,
@@ -230,6 +230,28 @@ class TestInjectiveChoiceCount:
             reordered += [i for block in blocks for i in block] != list(range(len(opts)))
         assert 1000 < split < 2500
         assert reordered > 2000
+
+    def test_count_and_budget_left_match_the_reference_counter(self):
+        # 1-8 members drawing 1-4 values from ranges of 1-9, so that many
+        # last members find their options taken; each list is counted with
+        # more budget than it needs, exactly enough, one node short, and a
+        # budget that runs out partway
+        rng = random.Random(25)
+        short = 0
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            opts = [sorted(rng.sample(range(n), rng.randint(1, min(n, 4))))
+                    for _ in range(rng.randint(1, 8))]
+            count, left = budgeted_choice_count(opts, 1 << 23)
+            assert count == brute_force_count(opts), opts
+            nodes = (1 << 23) - left
+            for budget in {nodes + 5, nodes, nodes - 1, rng.randint(0, nodes)}:
+                if budget >= 0:
+                    expected = budgeted_choice_count(opts, budget)
+                    assert synthesis._distinct_choice_count(opts, budget) == expected, \
+                        (opts, budget)
+                    short += expected[0] is None
+        assert short > 1000
 
     def test_pigeonhole_class_is_decided_without_counting(self):
         # the count alone would try every injective placement of
@@ -568,8 +590,9 @@ class TestSynthesize:
             ("locked_pair", 1, 2)
 
     def test_prepares_the_problem_once(self, monkeypatch):
-        # synthesis reads L and H through the prepared problem only, and no
-        # scan of all N(N-1)/2 state pairs asks for outputs
+        # synthesis reads L and H through the prepared problem only, no scan
+        # of all N(N-1)/2 state pairs asks for outputs, and the observability
+        # decision reuses the problem's output partition
         n = 400
         lcn = paired_classes(n)
         calls = Counter()
@@ -578,11 +601,23 @@ class TestSynthesize:
                 calls[name] += 1
                 return method(self, x)
             monkeypatch.setattr(Lcn, name, counted)
+        partitioned = []
+        for owner in (analysis, synthesis):
+            monkeypatch.setattr(owner, "output_partition",
+                                lambda net, part=owner.output_partition:
+                                partitioned.append(net) or part(net))
         report = synthesize_observability(lcn, max_candidates=1)
         assert report.num_factors == (2,) * (n // 2)
         assert (report.verdict, report.candidates_checked) == (Verdict.DECISION_INCOMPLETE, 1)
         assert calls["block"] == 0
         assert calls["output"] <= 2 * n
+        assert partitioned == [lcn]
+        # once per call, whichever step decides the verdict: already
+        # observable, an obstruction, or the sweep
+        partitioned.clear()
+        for net in nets.ALL_REFERENCE_NETS:
+            synthesize_observability(net)
+        assert partitioned == list(nets.ALL_REFERENCE_NETS)
 
         # the sweep gets the prepared walk arrays and the cap, and no pair list
         swept = []
