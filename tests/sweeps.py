@@ -6,6 +6,10 @@ check the sweep's order, counts and verdicts against them.
 ``scan_unsafe_pair`` is the leaf check the kernel used before its
 Moore refinement: a scan of every equal-output pair, kept as the
 reference that the refinement must agree with, pair for pair.
+``reference_candidates`` is the candidate walk the kernel used before
+its per-class odometer, one option iterator per position, and
+``reference_sweep`` the sweep over it: the references for the
+kernel's candidate order and sweep results.
 """
 
 from itertools import chain
@@ -79,3 +83,57 @@ def sweep_count_observable(classes, succ, out, kernel=_kernel_py):
         else:
             hint = pair
     return total, good
+
+
+def reference_candidates(classes, succ):
+    """The per-position candidate walk the kernel used before its per-class
+    odometer, kept as the reference for the candidate order.
+
+    Yields one 0-based successor list per candidate (indexed by state).
+    The same list is yielded every time and changed in place when the
+    walk resumes, so copy it to keep it, and do not change it: the walk
+    reads the values it chose back from it. The walk keeps one option
+    iterator per position and one set of used values per output class.
+    The last position adds nothing: it yields each free value in turn.
+    """
+    members, used = [], []  # per position, its state and its class's set
+    for cls in classes:
+        members += cls
+        used += [set()] * len(cls)
+    options = [succ[x] for x in members]
+    n = len(members)
+    succ0 = [0] * n
+    its = [iter(options[0])] + [None] * (n - 1)
+    last, pos = n - 1, 0
+    while True:
+        taken = used[pos]
+        for v in its[pos]:
+            if v not in taken:
+                break
+        else:  # no free value left: step back and free the previous position's
+            pos -= 1
+            if pos < 0:
+                return
+            used[pos].discard(succ0[members[pos]])
+            continue
+        succ0[members[pos]] = v
+        if pos == last:
+            yield succ0
+        else:
+            taken.add(v)
+            pos += 1
+            its[pos] = iter(options[pos])
+
+
+def reference_sweep(classes, succ, out, cap: int = -1):
+    """``_kernel_py.sweep_first_observable`` over the reference walk, in
+    state numbering: ``(status, checked, witness)``."""
+    checked, hint = 0, None
+    for succ0 in reference_candidates(classes, succ):
+        if 0 <= cap <= checked:
+            return _kernel_py.CAP_REACHED, checked, None
+        checked += 1
+        hint = _kernel_py._unsafe_pair(succ0, out, hint)
+        if hint is None:
+            return _kernel_py.FOUND, checked, tuple(succ0)
+    return _kernel_py.EXHAUSTED, checked, None

@@ -607,7 +607,7 @@ def _one_class(n, targets):
     ("bounds", lambda: network_to_dict(nets.random_network(3, 64, 4, 8)), 0,
      lambda doc: doc["num_factors"] == RANDOM_64_COUNTS
      and doc["refined"] == prod(RANDOM_64_COUNTS)),
-    # 20 000 two-state classes: the walk keeps one set of used values per
+    # 20 000 two-state classes: the walk keeps one row of choices per
     # class, and the naive bound 2^40000 prints in full
     ("bounds", lambda: network_to_dict(nets.paired_classes(40_000)), 0,
      lambda doc: doc["naive"] == 2 ** 40_000 and doc["num_factors"] == [2] * 20_000),

@@ -1,11 +1,13 @@
 """The sweep kernel: the candidate walk, the leaf check and the sweeps.
 
 The kernel is checked against independent references: a brute-force
-product, the public enumeration and the pair graph analysis.
+product, the per-position walk that its odometer replaced, the public
+enumeration and the pair graph analysis.
 """
 
 import importlib
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -13,8 +15,8 @@ import pytest
 import nets
 from conftest import random_lcn
 from oracles import oracle_observable
-from sweeps import (closed_loop_observable, equal_output_pairs, scan_unsafe_pair,
-                    sweep_count_observable)
+from sweeps import (closed_loop_observable, equal_output_pairs, reference_candidates,
+                    reference_sweep, scan_unsafe_pair, sweep_count_observable)
 
 from lcnsyn import (
     Lcn,
@@ -26,7 +28,7 @@ from lcnsyn import (
     synthesize_observability,
 )
 from lcnsyn import _kernel_py, kernel
-from lcnsyn.synthesis import _Problem
+from lcnsyn.synthesis import _Problem, injective_choice_count
 
 
 @pytest.fixture(params=kernel.available_backends())
@@ -195,6 +197,61 @@ class TestCandidateWalk:
 
     def test_zero_choice_class_yields_nothing(self):
         assert list(_kernel_py.candidates(*sweep_arguments(nets.SINK42_OUT2)[:2])) == []
+
+    # a bound of 3 cells keeps at most three cells over all classes, three
+    # one-state choices say, so most classes walk their positions on every entry
+    @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
+    def test_matches_the_per_position_walk(self, monkeypatch, rng, bound):
+        # the odometer against the walk it replaced: the same candidates in
+        # the same order, and the same sweep result at caps around the end
+        monkeypatch.setattr(_kernel_py, "CELL_CAP", bound)
+        shapes = Counter()
+        draws = []
+        for i in range(1_000):
+            n = rng.randint(1, 7)
+            draws += [random_lcn(rng, n_max=6, m_max=3, q_max=4),
+                      nets.random_network(i, n, rng.randint(1, 3), rng.randint(1, n))]
+        for lcn in draws + list(nets.ALL_REFERENCE_NETS):
+            classes, succ, out = sweep_arguments(lcn)
+            counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
+            shapes.update({"one class": len(classes) == 1, "many classes": len(classes) >= 3,
+                           "single-member class": min(map(len, classes)) == 1,
+                           "zero-choice class": 0 in counts,
+                           "streaming class": any(c * len(cls) > bound
+                                                  for c, cls in zip(counts, classes))})
+            walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
+            assert walked == [list(succ0) for succ0 in reference_candidates(classes, succ)]
+            checked = reference_sweep(classes, succ, out)[1]
+            for cap in (-1, 0, 1, checked - 1, checked):
+                assert _kernel_py.sweep_first_observable(classes, succ, out, cap) == \
+                    reference_sweep(classes, succ, out, cap)
+        for shape in ("one class", "many classes", "single-member class", "zero-choice class"):
+            assert shapes[shape] >= 200, shapes
+        if bound == 3:
+            assert shapes["streaming class"] >= 200, shapes
+
+    def test_a_class_past_the_cache_bound_streams(self, monkeypatch):
+        # one class of 7 states, each offered all 7: 5 040 choices of 7 cells.
+        # One output makes every closed loop unobservable, so a capped sweep
+        # takes the first choices in order. Past 100 kept choices the class
+        # drops them and streams, and a longer sweep needs no more memory
+        monkeypatch.setattr(_kernel_py, "CELL_CAP", 7 * 100)
+        n = 7
+        args = sweep_arguments(Lcn(n, n, 1, LogicalMatrix(n, tuple(range(1, n + 1)) * n),
+                                   LogicalMatrix(1, (1,) * n)))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cap in (500, 5_000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert _kernel_py.sweep_first_observable(*args, cap) == \
+                    (_kernel_py.CAP_REACHED, cap, None)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        # keeping the 4 500 further choices would cost over 400 KB
+        assert peaks[1] - peaks[0] < 32 << 10
 
 
 class TestSweep:
