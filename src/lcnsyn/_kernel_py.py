@@ -2,9 +2,10 @@
 
 Call convention (plain sequences of ints, 0-based in and out), as
 ``synthesis`` prepares it once per problem: ``classes`` lists each
-output class's states ascending, classes in ascending output order;
-``succ`` gives each state's sorted distinct candidate successors; and
-``out``, read only by the leaf check, each state's output index.
+output class's states ascending, classes in ascending output order,
+and ``succ`` gives each state's sorted distinct candidate successors.
+Nothing else of the outputs enters: two states have equal outputs
+exactly when they lie in the same class.
 
 A candidate is one choice of successor per state, injective within
 each class; candidates are visited in lexicographic order of the chosen
@@ -28,7 +29,10 @@ state.
 
 A leaf is a closed loop ``x+ = succ0[x]``, ``y = out[x]``, a Moore
 machine with one input, and it is observable exactly when no two of its
-states are equivalent (same output sequence forever). ``_unsafe_pair``
+states are equivalent (same output sequence forever). The sweep labels
+each position with its class's index for ``out``: the leaf check only
+asks whether two outputs are equal, and so does refinement, which
+depends only on the partition it starts from. ``_unsafe_pair``
 first walks a hint: the pair, in kernel numbering, that doomed the
 previous leaf. A walk depends only on the successors of the states it
 passes through, and consecutive leaves differ mostly in their last
@@ -254,18 +258,19 @@ def candidates(classes, succ):
         yield _in_states(members, succ0, state)
 
 
-def sweep_first_observable(classes, succ, out, cap: int = -1):
+def sweep_first_observable(classes, succ, cap: int = -1):
     """Search the candidate space for the first observable closed loop.
 
     Evaluates at most ``cap`` candidates when ``cap >= 0``. Returns
     ``(status, checked, witness)`` where status is FOUND, EXHAUSTED or
     CAP_REACHED and witness is the observable candidate's 0-based
     successor tuple (None unless FOUND). The leaves and the hint pair
-    are in kernel numbering (:func:`_positions`); only the witness is
-    translated back to states.
+    are in kernel numbering (:func:`_positions`), and each position's
+    output is its class's index; only the witness is translated back to
+    states.
     """
     members, ends = _positions(classes)
-    out = [out[x] for x in members]
+    out = [k for k, cls in enumerate(classes) for _ in cls]
     checked, hint = 0, None
     for succ0 in _walk(members, succ, ends):
         if 0 <= cap <= checked:

@@ -250,6 +250,14 @@ def injective_choice_count(options) -> int | None:
     (:func:`_components`) splits the class into components and orders each
     component's members, and each count runs in that order. The components
     share one budget of ``COUNT_BUDGET`` nodes; None when it runs out."""
+    # synthesize_observability has run this matching already, for
+    # zero_choice_class, and it runs again here on purpose. The count is
+    # also called on its own (candidate_bounds, ``lcnsyn bounds``), and a
+    # class with no injective choice must read 0 there even past the
+    # budget: [range(39)] * 40 reads 0, not None. Handing the count the
+    # pre-check's verdict would take a flag or a second entry point, and
+    # the benchmark's tracer and the call-order test read exactly one call
+    # per class.
     if not _has_distinct_choice(options):
         return 0
     total, budget = 1, COUNT_BUDGET
@@ -262,30 +270,34 @@ def injective_choice_count(options) -> int | None:
 
 
 class _Problem:
-    """One synthesis problem, prepared once per call. Keeps the network's
+    """One synthesis problem, prepared once per call, and the only view of
+    the outputs that synthesis passes on. Keeps the network's
     ``partition`` (:func:`output_partition`, 1-based), which the
     observability decision reads too, and lists each output class's
     ascending states as ``classes`` (classes in ascending output order).
     Refuses more than ``CELL_CAP`` equal-output pairs before anything
     else, then derives each state's sorted distinct successors ``succ``,
-    which the pre-checks and the sweep share. ``classes`` and ``succ``
-    are 0-based, as ``_kernel_py`` takes them.
+    which the pre-checks and the sweep share, and each class's member
+    option lists ``options``, which the zero-choice test and the counts
+    share. ``classes`` and ``succ`` are 0-based, as ``_kernel_py`` takes
+    them: the sweep reads the outputs only through ``classes``.
     """
 
-    __slots__ = ("partition", "classes", "succ")
+    __slots__ = ("partition", "classes", "succ", "options")
 
     def __init__(self, lcn: Lcn) -> None:
         self.partition = output_partition(lcn)
         self.classes = [[x - 1 for x in members] for members in self.partition.values()]
         _check_pair_count(map(len, self.classes))  # before any counting
-        self.succ = _successors(lcn)
+        self.succ = succ = _successors(lcn)
+        self.options = [[succ[x] for x in cls] for cls in self.classes]
 
     def bounds(self) -> tuple[int, int | None, tuple[int | None, ...]]:
         """(naive, refined, per-class counts): the naive bound is the
         product of the members' option counts, the refined bound that of
         the injective choice counts, one per class. A count over its budget
         is None, and so is the refined bound, unless another class counts 0."""
-        nums = tuple(injective_choice_count([self.succ[x] for x in cls]) for cls in self.classes)
+        nums = tuple(map(injective_choice_count, self.options))
         known = [n for n in nums if n is not None]
         refined = prod(known) if len(known) == len(nums) or 0 in known else None
         return prod(map(len, self.succ)), refined, nums
@@ -359,16 +371,14 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         return report(Verdict.SYNTHESIZED, witness, already_observable=True)
 
     obstruction = structural_obstruction(problem.classes, problem.succ)
-    zero_class = next((i + 1 for i, cls in enumerate(problem.classes)
-                       if not _has_distinct_choice([problem.succ[x] for x in cls])), None)
+    zero_class = next((i + 1 for i, options in enumerate(problem.options)
+                       if not _has_distinct_choice(options)), None)
     if obstruction is not None or zero_class is not None:
         return report(Verdict.NOT_SYNTHESIZABLE, obstruction=obstruction,
                       zero_choice_class=zero_class)
 
     cap = -1 if max_candidates is None else max_candidates
-    status, checked, succ0 = _kernel_py.sweep_first_observable(
-        problem.classes, problem.succ, lcn.H.col_indices, cap
-    )
+    status, checked, succ0 = _kernel_py.sweep_first_observable(problem.classes, problem.succ, cap)
     witness = None if succ0 is None else controller_for_map(lcn, succ0)
     return report(_SWEEP_VERDICTS[status], witness, checked)
 

@@ -127,7 +127,8 @@ def reference_candidates(classes, succ):
 
 def reference_sweep(classes, succ, out, cap: int = -1):
     """``_kernel_py.sweep_first_observable`` over the reference walk, in
-    state numbering: ``(status, checked, witness)``."""
+    state numbering, with each state's output ``out[x]`` given instead of
+    read off the classes: ``(status, checked, witness)``."""
     checked, hint = 0, None
     for succ0 in reference_candidates(classes, succ):
         if 0 <= cap <= checked:

@@ -40,9 +40,10 @@ def backend(request):
 
 def sweep_arguments(lcn):
     """The sweep's arguments, as synthesis prepares them: the output
-    classes, each state's options and the outputs."""
+    classes and each state's options. The references that need outputs
+    take ``lcn.H.col_indices`` besides."""
     problem = _Problem(lcn)
-    return problem.classes, problem.succ, lcn.H.col_indices
+    return problem.classes, problem.succ
 
 
 def closed_loop_arrays(lcn):
@@ -188,22 +189,25 @@ class TestCandidateWalk:
     def test_matches_brute_force_product_order(self, rng):
         for lcn in WALK_EDGE_SHAPES + tuple(random_lcn(rng, n_max=5, m_max=3, q_max=2)
                                             for _ in range(60)):
-            classes, succ, out = sweep_arguments(lcn)
+            classes, succ = sweep_arguments(lcn)
             walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
-            assert walked == list(product_order(classes, succ, out))
+            assert walked == list(product_order(classes, succ, lcn.H.col_indices))
 
     def test_big_network_leaf_count(self):
-        assert sum(1 for _ in _kernel_py.candidates(*sweep_arguments(nets.BIG84)[:2])) == 7038
+        assert sum(1 for _ in _kernel_py.candidates(*sweep_arguments(nets.BIG84))) == 7038
 
     def test_zero_choice_class_yields_nothing(self):
-        assert list(_kernel_py.candidates(*sweep_arguments(nets.SINK42_OUT2)[:2])) == []
+        assert list(_kernel_py.candidates(*sweep_arguments(nets.SINK42_OUT2))) == []
 
     # a bound of 3 cells keeps at most three cells over all classes, three
     # one-state choices say, so most classes walk their positions on every entry
     @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
     def test_matches_the_per_position_walk(self, monkeypatch, rng, bound):
         # the odometer against the walk it replaced: the same candidates in
-        # the same order, and the same sweep result at caps around the end
+        # the same order, and the same sweep result at caps around the end.
+        # The kernel labels outputs by class index; the reference reads the
+        # outputs themselves, and the same ones relabelled y -> 3y - 1, which
+        # are neither dense nor 1-based
         monkeypatch.setattr(_kernel_py, "CELL_CAP", bound)
         shapes = Counter()
         draws = []
@@ -212,7 +216,9 @@ class TestCandidateWalk:
             draws += [random_lcn(rng, n_max=6, m_max=3, q_max=4),
                       nets.random_network(i, n, rng.randint(1, 3), rng.randint(1, n))]
         for lcn in draws + list(nets.ALL_REFERENCE_NETS):
-            classes, succ, out = sweep_arguments(lcn)
+            classes, succ = sweep_arguments(lcn)
+            out = lcn.H.col_indices
+            relabelled = [3 * y - 1 for y in out]
             counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
             shapes.update({"one class": len(classes) == 1, "many classes": len(classes) >= 3,
                            "single-member class": min(map(len, classes)) == 1,
@@ -223,8 +229,9 @@ class TestCandidateWalk:
             assert walked == [list(succ0) for succ0 in reference_candidates(classes, succ)]
             checked = reference_sweep(classes, succ, out)[1]
             for cap in (-1, 0, 1, checked - 1, checked):
-                assert _kernel_py.sweep_first_observable(classes, succ, out, cap) == \
-                    reference_sweep(classes, succ, out, cap)
+                assert _kernel_py.sweep_first_observable(classes, succ, cap) == \
+                    reference_sweep(classes, succ, out, cap) == \
+                    reference_sweep(classes, succ, relabelled, cap)
         for shape in ("one class", "many classes", "single-member class", "zero-choice class"):
             assert shapes[shape] >= 200, shapes
         if bound == 3:
@@ -277,7 +284,8 @@ class TestSweep:
             else:
                 assert status == backend.EXHAUSTED
                 assert checked == len(maps)
-            assert sweep_count_observable(*args, backend) == (len(maps), len(hits))
+            assert sweep_count_observable(*args, lcn.H.col_indices, backend) == \
+                (len(maps), len(hits))
         assert switches >= 1
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 828])
@@ -292,7 +300,8 @@ class TestSweep:
         assert backend.sweep_first_observable(*args, -1) == (status, checked, found)
 
     def test_big_network_full_count(self, backend):
-        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84), backend)
+        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84),
+                                              nets.BIG84.H.col_indices, backend)
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
@@ -305,9 +314,12 @@ class TestBenchmarkSurface:
         assert kernel.available_backends() == ("python",)
 
     def test_sweep_result(self):
-        # spantrace counts leaves from r[1] and witnesses from r[0] == 0
+        # spantrace counts leaves from r[1] and witnesses from r[0] == 0;
+        # the call is the one synthesis makes
         assert _kernel_py.FOUND == 0
-        status, checked, _found = _kernel_py.sweep_first_observable(*sweep_arguments(nets.BIG84))
+        problem = _Problem(nets.BIG84)
+        status, checked, _found = _kernel_py.sweep_first_observable(problem.classes,
+                                                                    problem.succ, -1)
         assert (status, checked) == (0, 829)
 
     def test_backend_keyword(self):

@@ -589,6 +589,30 @@ class TestSynthesize:
         assert (report.obstruction.kind, report.obstruction.j, report.obstruction.k) == \
             ("locked_pair", 1, 2)
 
+    def test_outputs_enter_only_as_a_partition(self, rng):
+        # relabelling the outputs y -> 3y - 1 (Q -> 3Q) keeps the classes and
+        # their order, and adds gaps and unused outputs: nothing may change
+        draws = []
+        for i in range(150):
+            n = rng.randint(1, 8)
+            draws += [random_lcn(rng, 8, 3, 3),
+                      nets.random_network(i, n, rng.randint(1, 3), rng.randint(1, n))]
+        steps = Counter()
+        for lcn in draws + list(nets.ALL_REFERENCE_NETS):
+            q = 3 * lcn.output_dim
+            relabelled = Lcn(lcn.state_dim, lcn.input_dim, q, lcn.L,
+                             LogicalMatrix(q, tuple(3 * y - 1 for y in lcn.H.col_indices)))
+            report = synthesize_observability(relabelled)
+            assert report == synthesize_observability(lcn)
+            assert candidate_bounds(relabelled) == candidate_bounds(lcn)
+            assert list(enumerate_candidates(relabelled)) == list(enumerate_candidates(lcn))
+            steps["already observable" if report.already_observable
+                  else "pruned" if report.pruned_by else "swept"] += 1
+            steps["many classes"] += len(output_partition(lcn)) >= 3
+        # every step that can decide the verdict, and partitions of three
+        # classes or more, are well exercised
+        assert len(steps) == 4 and min(steps.values()) >= 50, steps
+
     def test_prepares_the_problem_once(self, monkeypatch):
         # synthesis reads L and H through the prepared problem only, no scan
         # of all N(N-1)/2 state pairs asks for outputs, and the observability
@@ -619,14 +643,15 @@ class TestSynthesize:
             synthesize_observability(net)
         assert partitioned == list(nets.ALL_REFERENCE_NETS)
 
-        # the sweep gets the prepared walk arrays and the cap, and no pair list
+        # the sweep gets the prepared classes and options and the cap: no
+        # output list and no pair list
         swept = []
         sweep = synthesis._kernel_py.sweep_first_observable
         monkeypatch.setattr(synthesis._kernel_py, "sweep_first_observable",
                             lambda *a: swept.append(a) or sweep(*a))
         assert synthesize_observability(nets.BIG84).candidates_checked == 829
         problem = synthesis._Problem(nets.BIG84)
-        assert swept == [(problem.classes, problem.succ, nets.BIG84.H.col_indices, -1)]
+        assert swept == [(problem.classes, problem.succ, -1)]
 
     def test_leaf_check_memory_does_not_grow_with_n_squared(self):
         # every leaf is unsafe (each pair can loop onto itself), so the
