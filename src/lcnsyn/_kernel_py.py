@@ -20,6 +20,21 @@ afresh on every entry. ``_walk`` is the one definition of the order;
 the sweep here consumes it, and ``candidates`` translates it for
 ``synthesis.enumerate_candidates``.
 
+A class's walk can thrash: an early position takes a value that a much
+later position of the same class needs, and the walk tries every choice
+of the positions in between before it steps back that far. So the walk
+counts its dead ends, positions just entered that find no free value,
+since the class's last choice. Past as many dead ends as the class has
+positions, each dead end also steps back over every prefix that leaves
+the remaining positions no system of distinct representatives
+(``_has_distinct_choice``, Hall 1935; Régin 1994 filters all-different
+constraints the same way). Such a prefix has no choice below it, so the
+rule skips only subtrees without a leaf, and the candidates and their
+order stay as they are. The count keeps the matchings off the walks
+that do not thrash. The matching lives here, and ``synthesis`` imports
+it for its zero-choice test and its counts: a kernel that imported
+``synthesis`` would close an import cycle.
+
 Inside the kernel states are numbered by walk position (``_positions``):
 position p holds state ``members[p]``, so each class is a contiguous
 slice, and the walk renumbers each successor it chooses the same way.
@@ -142,6 +157,32 @@ def _positions(classes):
     return members, ends
 
 
+def _has_distinct_choice(options) -> bool:
+    """Whether the members can get pairwise-distinct successors at all: a
+    system of distinct representatives (Hall 1935). Matches each member
+    in turn along an augmenting path, searched with an explicit stack."""
+    holder, chosen = {}, []  # value -> its member, member -> its value
+    for root in range(len(options)):
+        reached_from, stack, free = {}, [root], None  # value -> member that reached it
+        while stack and free is None:
+            i = stack.pop()
+            for v in options[i]:
+                if v not in reached_from:
+                    reached_from[v] = i
+                    if v not in holder:
+                        free = v
+                        break
+                    stack.append(holder[v])
+        if free is None:
+            return False
+        chosen.append(None)
+        while free is not None:  # each member on the path takes the value it reached
+            i = reached_from[free]
+            holder[free] = i
+            chosen[i], free = free, chosen[i]
+    return True
+
+
 def _walk(members, succ, ends):
     """Walk the candidate space in sweep order, in kernel numbering; the
     one definition of that order.
@@ -163,6 +204,13 @@ def _walk(members, succ, ends):
     choice): a class that would pass that drops its row and walks its
     positions afresh on every entry. A class with no choice ends the
     walk, as the product is then empty.
+
+    A class's walk counts its dead ends since its last choice (a resume
+    always follows a choice, so the count starts at 0 on every entry).
+    Past ``b - a`` of them, each dead end steps back, beyond the position
+    before it, over every prefix under which the positions from p on have
+    no pairwise-distinct choice among the values not taken. No leaf lies
+    below such a prefix, so the yield order is unchanged.
 
     Options and used values stay states (``succ`` is indexed by state);
     only a chosen successor is renumbered, as it is written into the
@@ -200,23 +248,35 @@ def _walk(members, succ, ends):
         else:  # resume at the class's last position; its used values are
             # rebuilt, so that no class waiting for a later one holds a set
             p, taken = b - 1, {members[q] for q in succ0[a:b - 1]}
-        row = rows[k]
+        row, dead, entered = rows[k], 0, fresh  # dead ends since the last choice
         while True:
             for v in its[p]:  # v names a state, taken holds states
                 if v not in taken:
                     break
-            else:  # no free value left: step back and free the previous position's
+            else:  # no free value left: step back and free the previous position's;
+                # past b - a dead ends, a dead end steps back over every prefix
+                # that leaves the positions from p on no distinct choice
+                if entered:  # a dead end
+                    dead += 1
+                hall, entered = entered and dead > b - a, False
                 p -= 1
+                while p >= a:
+                    taken.discard(members[succ0[p]])
+                    if not hall or _has_distinct_choice(
+                            [[u for u in succ[members[q]] if u not in taken] for q in range(p, b)]):
+                        break
+                    p -= 1
                 if p < a:
                     break
-                taken.discard(members[succ0[p]])
                 continue
             succ0[p] = where[v]
             if p + 1 < b:
                 taken.add(v)
                 p += 1
                 its[p] = iter(succ[members[p]])
+                entered = True
                 continue
+            dead, entered = 0, False
             if row is not None:  # a new choice of the class
                 row.append(succ0[a:b])
                 cells += b - a

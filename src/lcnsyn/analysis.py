@@ -279,12 +279,11 @@ def _held_too_many(held: int) -> MatrixSizeError:
                            f"equal-output pairs exceeds cap {CELL_CAP}")
 
 
-def _least_unsafe_pair(lcn: Lcn, partition: dict[int, tuple[int, ...]] | None = None):
+def _least_unsafe_pair(lcn: Lcn, partition: dict[int, tuple[int, ...]]):
     """(root, safe): the least equal-output pair (pairs ordered
     lexicographically) that reaches a cycle of the pair graph, None when
     no pair does, and the keys ``i*(N+1)+j`` of the pairs (i, j) proven
-    to reach no cycle. ``partition`` is ``lcn``'s :func:`output_partition`,
-    built here when not given.
+    to reach no cycle. ``partition`` is ``lcn``'s :func:`output_partition`.
 
     Each root not yet proven safe is walked depth first, without
     recursion, on a stack of ``(i, j, next input)`` frames; one dict maps
@@ -298,8 +297,6 @@ def _least_unsafe_pair(lcn: Lcn, partition: dict[int, tuple[int, ...]] | None = 
     """
     n, m, cols, out = lcn.state_dim, lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices
     cap, width = CELL_CAP, n + 1
-    # output -> its states ascending: pairs come sorted
-    classes = output_partition(lcn) if partition is None else partition
     state: dict[int, bool] = {}
 
     def unsafe(stack):  # the answer, with the current path set aside
@@ -308,7 +305,7 @@ def _least_unsafe_pair(lcn: Lcn, partition: dict[int, tuple[int, ...]] | None = 
         return stack[0][:2], state.keys()
 
     for x in range(1, n + 1):
-        for y in classes[out[x - 1]]:
+        for y in partition[out[x - 1]]:  # ascending: pairs come sorted
             if y <= x or x * width + y in state:
                 continue  # not a root, or safe
             state[x * width + y] = False
@@ -357,7 +354,7 @@ def is_observable(lcn: Lcn) -> ObservabilityResult:
     :data:`CELL_CAP` equal-output pairs held: the safe ones and the current
     walk, or the safe ones and the witness pair's exploration.
     """
-    root, safe = _least_unsafe_pair(lcn)
+    root, safe = _least_unsafe_pair(lcn, output_partition(lcn))
     if root is None:
         return ObservabilityResult(True, None)
     m, cols, out, width = lcn.input_dim, lcn.L.col_indices, lcn.H.col_indices, lcn.state_dim + 1

@@ -46,6 +46,7 @@ from heapq import heapify, heappop, heappush
 from math import prod
 
 from . import _kernel_py
+from ._kernel_py import _has_distinct_choice
 from ._value import Value
 # is_observable is unused here, but stays a name of this module: the
 # benchmark's tracer tests (perfbench/tests) read synthesis.is_observable
@@ -124,32 +125,6 @@ def _obstructions(group):
                 yield Obstruction("constant_blocks", j, k, cj)
             elif (cj == j and ck == k) or (cj == k and ck == j):
                 yield Obstruction("locked_pair", j, k)
-
-
-def _has_distinct_choice(options) -> bool:
-    """Whether the members can get pairwise-distinct successors at all: a
-    system of distinct representatives (Hall 1935). Matches each member
-    in turn along an augmenting path, searched with an explicit stack."""
-    holder, chosen = {}, []  # value -> its member, member -> its value
-    for root in range(len(options)):
-        reached_from, stack, free = {}, [root], None  # value -> member that reached it
-        while stack and free is None:
-            i = stack.pop()
-            for v in options[i]:
-                if v not in reached_from:
-                    reached_from[v] = i
-                    if v not in holder:
-                        free = v
-                        break
-                    stack.append(holder[v])
-        if free is None:
-            return False
-        chosen.append(None)
-        while free is not None:  # each member on the path takes the value it reached
-            i = reached_from[free]
-            holder[free] = i
-            chosen[i], free = free, chosen[i]
-    return True
 
 
 def _components(options):

@@ -613,11 +613,22 @@ def _one_class(n, targets):
      lambda doc: doc["naive"] == 2 ** 40_000 and doc["num_factors"] == [2] * 20_000),
     ("synthesize --max-candidates 1", lambda: network_to_dict(nets.paired_classes(40_000)), 4,
      lambda doc: doc["verdict"] == "DECISION_INCOMPLETE" and doc["candidates_checked"] == 1),
+    # classes of 75-118 states, whose largest components have 3-28
+    # members: an early member takes a value that a much later one needs,
+    # and without the walk's dead-end rule no first choice comes in time
+    ("synthesize", lambda: network_to_dict(nets.random_network(5, 300, 2, 3)), 0,
+     lambda doc: doc["verdict"] == "SYNTHESIZED" and doc["candidates_checked"] == 1),
+    ("synthesize", lambda: network_to_dict(nets.random_network(0, 2000, 3, 20)), 0,
+     lambda doc: doc["verdict"] == "SYNTHESIZED" and doc["candidates_checked"] == 1),
+    ("synthesize --max-candidates 1000",
+     lambda: network_to_dict(nets.random_network(0, 1000, 2, 10)), 4,
+     lambda doc: doc["verdict"] == "DECISION_INCOMPLETE" and doc["candidates_checked"] == 1000),
 ], ids=["bounds-pigeonhole-22", "synthesize-pigeonhole-22", "bounds-1448", "synthesize-1448",
         "bounds-1449", "synthesize-1449",
         "bounds-random-200", "synthesize-random-200", "bounds-giant-200", "bounds-giant-600",
         "bounds-random-64", "bounds-paired-40000",
-        "synthesize-paired-40000"])
+        "synthesize-paired-40000", "synthesize-thrashing-300", "synthesize-thrashing-2000",
+        "synthesize-thrashing-1000-capped"])
 def test_synthesis_commands_on_hard_classes(tmp_path, command, make, code, check):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(make()))

@@ -237,6 +237,37 @@ class TestCandidateWalk:
         if bound == 3:
             assert shapes["streaming class"] >= 200, shapes
 
+    @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
+    def test_the_dead_end_rule_skips_only_leafless_subtrees(self, monkeypatch, bound):
+        # classes of 6-10 states with at most two options each: many have
+        # few choices or none, so their walks pass the dead-end count and
+        # the matching steps back over prefixes. The candidates, their
+        # order and the sweep's results stay the per-position walk's
+        monkeypatch.setattr(_kernel_py, "CELL_CAP", bound)
+        calls = 0
+        matching = _kernel_py._has_distinct_choice
+
+        def counted(options):
+            nonlocal calls
+            calls += 1
+            return matching(options)
+
+        monkeypatch.setattr(_kernel_py, "_has_distinct_choice", counted)
+        stepped = 0
+        for i in range(1_500):
+            lcn = nets.random_network(i, 6 + i % 5, 2, 1 + i // 5 % 2)
+            classes, succ = sweep_arguments(lcn)
+            out = lcn.H.col_indices
+            before = calls
+            walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
+            stepped += calls > before
+            assert walked == [list(succ0) for succ0 in reference_candidates(classes, succ)]
+            checked = len(walked)
+            for cap in (-1, 0, 1, checked - 1, checked):
+                assert _kernel_py.sweep_first_observable(classes, succ, cap) == \
+                    reference_sweep(classes, succ, out, cap)
+        assert stepped >= 200, stepped
+
     def test_a_class_past_the_cache_bound_streams(self, monkeypatch):
         # one class of 7 states, each offered all 7: 5 040 choices of 7 cells.
         # One output makes every closed loop unobservable, so a capped sweep
