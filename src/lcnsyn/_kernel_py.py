@@ -1,23 +1,25 @@
 """The sweep kernel: the hot inner loops of closed-loop candidate sweeps.
 
-Call convention (plain sequences of ints, 0-based in and out), as
-``synthesis`` prepares it once per problem: ``classes`` lists each
-output class's states ascending, classes in ascending output order,
-and ``succ`` gives each state's sorted distinct candidate successors.
-Nothing else of the outputs enters: two states have equal outputs
-exactly when they lie in the same class.
+Call convention (plain lists of ints, 0-based), as ``synthesis._Problem``
+prepares it once per problem: states are numbered by walk position, the
+output classes one after another, so class k holds the positions
+``ends[k]`` to ``ends[k + 1] - 1``, and ``succ[p]`` gives position p's
+distinct candidate successors as positions. No state enters or leaves
+the kernel, and nothing else of the outputs enters: two positions have
+equal outputs exactly when they lie in the same class.
 
-A candidate is one choice of successor per state, injective within
+A candidate is one choice of successor per position, injective within
 each class; candidates are visited in lexicographic order of the chosen
-values, class by class. Used values are per class, so the candidates
-are the product of the classes' choices, and ``_walk`` steps that
-product as an odometer, the last class fastest. It finds each class's
-choices once, by a walk over the class's states on a stack of option
-iterators, and keeps them in a list, so most candidates cost one slice
-assignment; the lists of all classes together hold at most
-``CELL_CAP`` cells, and a class that would pass that walks its states
-afresh on every entry. ``_walk`` is the one definition of the order;
-the sweep here consumes it, and ``candidates`` translates it for
+values, each compared by its place in ``succ[p]`` (the order of the
+states they stand for), class by class. Used values are per
+class, so the candidates are the product of the classes' choices, and
+``candidates`` steps that product as an odometer, the last class
+fastest. It finds each class's choices once, by a walk over the class's
+positions on a stack of option iterators, and keeps them in a list, so
+most candidates cost one slice assignment; the lists of all classes
+together hold at most ``CELL_CAP`` cells, and a class that would pass
+that walks its positions afresh on every entry. ``candidates`` is the
+one definition of the order; the sweep here consumes it, and so does
 ``synthesis.enumerate_candidates``.
 
 A class's walk can thrash: an early position takes a value that a much
@@ -35,24 +37,18 @@ that do not thrash. The matching lives here, and ``synthesis`` imports
 it for its zero-choice test and its counts: a kernel that imported
 ``synthesis`` would close an import cycle.
 
-Inside the kernel states are numbered by walk position (``_positions``):
-position p holds state ``members[p]``, so each class is a contiguous
-slice, and the walk renumbers each successor it chooses the same way.
-Observability does not depend on how states are numbered. A candidate that leaves the
-kernel, the sweep's witness too, is a 0-based successor list indexed by
-state.
-
 A leaf is a closed loop ``x+ = succ0[x]``, ``y = out[x]``, a Moore
 machine with one input, and it is observable exactly when no two of its
-states are equivalent (same output sequence forever). The sweep labels
-each position with its class's index for ``out``: the leaf check only
-asks whether two outputs are equal, and so does refinement, which
-depends only on the partition it starts from. ``_unsafe_pair``
-first walks a hint: the pair, in kernel numbering, that doomed the
-previous leaf. A walk depends only on the successors of the states it
-passes through, and consecutive leaves differ mostly in their last
-positions, so that pair usually dooms the next leaf too, and the check
-ends after a few steps with one small set of seen pairs. Only when the
+states are equivalent (same output sequence forever). Observability
+does not depend on how states are numbered. The sweep labels each
+position with its class's index for ``out``: the leaf check only asks
+whether two outputs are equal, and so does refinement, which depends
+only on the partition it starts from. ``_unsafe_pair`` first walks a
+hint: the pair that doomed the previous leaf. A walk depends only on
+the successors of the states it passes through, and consecutive leaves
+differ mostly in their last positions, so that pair usually dooms the
+next leaf too, and the check ends after a few steps with one small set
+of seen pairs. Only when the
 hint pair is safe does ``_least_equivalent_pair`` refine the states by
 pointer doubling, in O(N log N) time and O(N) space, and return the
 least pair of equivalent states. Whether a leaf has an unsafe pair at
@@ -112,12 +108,14 @@ def _unsafe_pair(succ0, out, hint):
 
     Each equal-output pair has at most one successor pair, so the walk
     from the ``hint`` pair (or None) is a path in a functional graph: it
-    merges, closes a cycle on a pair in ``seen``, or reaches a pair of
-    successors with unequal outputs. In the first two cases the hint is
-    returned; in the last it is safe, and the answer is the least pair of
-    equivalent states. The sweep passes the leaf and the hint in kernel
-    numbering (walk positions); any numbering works, as long as the
-    leaf, ``out`` and the hint share it. A hint that maps onto itself is
+    closes a cycle on a pair in ``seen``, and then the hint is returned,
+    or it reaches a pair of successors with unequal outputs, and then the
+    hint is safe and the answer is the least pair of equivalent states.
+    A pair that merges stays on the diagonal, where it closes a cycle
+    within N steps; in a sweep no pair merges, as a candidate gives
+    equal-output states distinct successors. The sweep passes the leaf
+    and the hint in positions; any numbering works, as long as the leaf,
+    ``out`` and the hint share it. A hint that maps onto itself is
     returned before any set is built: in the sweep that is how most
     doomed leaves end (21 155 of the 22 454 before the witness of
     ``random_network(0, 12, 4, 2)``).
@@ -132,8 +130,6 @@ def _unsafe_pair(succ0, out, hint):
         while (key := i * n + j) not in seen:
             seen.add(key)
             i, j = succ0[i], succ0[j]
-            if i == j:
-                return hint  # the pair merges
             if out[i] != out[j]:
                 break  # distinguished: the hint is safe
             if i > j:
@@ -141,20 +137,6 @@ def _unsafe_pair(succ0, out, hint):
         else:
             return hint  # the walk closed a cycle
     return _least_equivalent_pair(succ0, out)
-
-
-def _positions(classes):
-    """The kernel numbering of a problem: ``(members, ends)``.
-
-    Position p holds state ``members[p]``; classes come one after
-    another, so class k holds the contiguous positions ``ends[k]`` to
-    ``ends[k + 1] - 1``.
-    """
-    members, ends = [], [0]
-    for cls in classes:
-        members += cls
-        ends.append(len(members))
-    return members, ends
 
 
 def _has_distinct_choice(options) -> bool:
@@ -183,17 +165,17 @@ def _has_distinct_choice(options) -> bool:
     return True
 
 
-def _walk(members, succ, ends):
-    """Walk the candidate space in sweep order, in kernel numbering; the
-    one definition of that order.
+def candidates(succ, ends):
+    """Walk the candidate space in sweep order; the one definition of
+    that order.
 
     Yields one successor list per candidate, indexed by position and
     holding positions: the same list every time, changed in place when
-    the walk resumes. The walk is a mixed-radix odometer over the
-    classes, the last class fastest (Knuth, TAOCP 4A, 7.2.1.1). Used
-    values are per class, so a class's choices never depend on another
-    class's, and the product of the classes' choices, each in
-    lexicographic order, is the candidate order.
+    the walk resumes, so copy it to keep it. The walk is a mixed-radix
+    odometer over the classes, the last class fastest (Knuth, TAOCP 4A,
+    7.2.1.1). Used values are per class, so a class's choices never
+    depend on another class's, and the product of the classes' choices,
+    each in lexicographic order, is the candidate order.
 
     A class's choices are found once, by a walk over its positions on a
     stack of option iterators and one set of used values (its last
@@ -211,15 +193,8 @@ def _walk(members, succ, ends):
     before it, over every prefix under which the positions from p on have
     no pairwise-distinct choice among the values not taken. No leaf lies
     below such a prefix, so the yield order is unchanged.
-
-    Options and used values stay states (``succ`` is indexed by state);
-    only a chosen successor is renumbered, as it is written into the
-    candidate, so the problem's options need no renumbered copy.
     """
-    n, last = len(members), len(ends) - 2
-    where = [0] * n  # state -> its position
-    for p, x in enumerate(members):
-        where[x] = p
+    n, last = len(succ), len(ends) - 2
     succ0, its = [0] * n, [None] * n  # its: per position of a walking class, its option iterator
     rows = [[] for _ in range(last + 1)]  # per class, its choices so far; None once it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
@@ -244,13 +219,13 @@ def _walk(members, succ, ends):
                 k, fresh = k + 1, True
             continue
         if fresh:
-            p, its[a], taken = a, iter(succ[members[a]]), set()
+            p, its[a], taken = a, iter(succ[a]), set()
         else:  # resume at the class's last position; its used values are
             # rebuilt, so that no class waiting for a later one holds a set
-            p, taken = b - 1, {members[q] for q in succ0[a:b - 1]}
+            p, taken = b - 1, set(succ0[a:b - 1])
         row, dead, entered = rows[k], 0, fresh  # dead ends since the last choice
         while True:
-            for v in its[p]:  # v names a state, taken holds states
+            for v in its[p]:
                 if v not in taken:
                     break
             else:  # no free value left: step back and free the previous position's;
@@ -261,19 +236,19 @@ def _walk(members, succ, ends):
                 hall, entered = entered and dead > b - a, False
                 p -= 1
                 while p >= a:
-                    taken.discard(members[succ0[p]])
+                    taken.discard(succ0[p])
                     if not hall or _has_distinct_choice(
-                            [[u for u in succ[members[q]] if u not in taken] for q in range(p, b)]):
+                            [[u for u in succ[q] if u not in taken] for q in range(p, b)]):
                         break
                     p -= 1
                 if p < a:
                     break
                 continue
-            succ0[p] = where[v]
+            succ0[p] = v
             if p + 1 < b:
                 taken.add(v)
                 p += 1
-                its[p] = iter(succ[members[p]])
+                its[p] = iter(succ[p])
                 entered = True
                 continue
             dead, entered = 0, False
@@ -296,47 +271,24 @@ def _walk(members, succ, ends):
             k, fresh = k + 1, True
 
 
-def _in_states(members, succ0, state):
-    """Write the kernel-numbered candidate ``succ0`` into ``state``, a list
-    indexed by state and holding states, and return it."""
-    for x, p in zip(members, succ0):
-        state[x] = members[p]
-    return state
-
-
-def candidates(classes, succ):
-    """Walk the candidate space in sweep order, in state numbering.
-
-    Yields one 0-based successor list per candidate (indexed by state),
-    translated from :func:`_walk`'s kernel numbering. The same list is
-    yielded every time and changed in place when the walk resumes, so
-    copy it to keep it.
-    """
-    members, ends = _positions(classes)
-    state = [0] * len(members)
-    for succ0 in _walk(members, succ, ends):
-        yield _in_states(members, succ0, state)
-
-
-def sweep_first_observable(classes, succ, cap: int = -1):
+def sweep_first_observable(succ, ends, cap: int = -1):
     """Search the candidate space for the first observable closed loop.
 
     Evaluates at most ``cap`` candidates when ``cap >= 0``. Returns
     ``(status, checked, witness)`` where status is FOUND, EXHAUSTED or
-    CAP_REACHED and witness is the observable candidate's 0-based
-    successor tuple (None unless FOUND). The leaves and the hint pair
-    are in kernel numbering (:func:`_positions`), and each position's
-    output is its class's index; only the witness is translated back to
-    states.
+    CAP_REACHED and witness is the observable candidate's successor
+    tuple, indexed by position and holding positions (None unless
+    FOUND). Each position's output is its class's index.
     """
-    members, ends = _positions(classes)
-    out = [k for k, cls in enumerate(classes) for _ in cls]
+    out = []  # each position's class index
+    for k in range(len(ends) - 1):
+        out += [k] * (ends[k + 1] - ends[k])
     checked, hint = 0, None
-    for succ0 in _walk(members, succ, ends):
+    for succ0 in candidates(succ, ends):
         if 0 <= cap <= checked:
             return CAP_REACHED, checked, None
         checked += 1
         hint = _unsafe_pair(succ0, out, hint)
         if hint is None:
-            return FOUND, checked, tuple(_in_states(members, succ0, [0] * len(members)))
+            return FOUND, checked, tuple(succ0)
     return EXHAUSTED, checked, None

@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import prod
 
 from . import _kernel_py
@@ -50,8 +51,8 @@ from ._kernel_py import _has_distinct_choice
 from ._value import Value
 # is_observable is unused here, but stays a name of this module: the
 # benchmark's tracer tests (perfbench/tests) read synthesis.is_observable
-from .analysis import (_check_pair_count, _least_unsafe_pair, _successors, is_controllable,
-                       is_observable, output_partition)
+from .analysis import (_check_pair_count, _least_unsafe_pair, is_controllable, is_observable,
+                       output_partition)
 from .feedback import ClosedLoopController
 from .model import Lcn
 
@@ -103,15 +104,14 @@ class SynthesisReport(Value):
         return pruned
 
 
-def structural_obstruction(classes, succ) -> Obstruction | None:
+def structural_obstruction(members, ends, succ) -> Obstruction | None:
     """First obstruction over the equal-output state pairs (j, k), j < k, in
     lexicographic order; "constant_blocks" is checked before "locked_pair"
-    for each pair. ``classes`` lists each output class's ascending 0-based
-    states, and ``succ`` each state's sorted distinct 0-based successors.
-    Only pairs of two constant-block states can be obstructed, so only
-    those are checked, class by class."""
-    groups = ([(x + 1, succ[x][0] + 1) for x in cls if len(succ[x]) == 1]  # 1-based
-              for cls in classes)
+    for each pair. Takes :class:`_Problem`'s walk positions and reports
+    1-based states. Only pairs of two constant-block states can be
+    obstructed, so only those are checked, class by class."""
+    groups = ([(members[p] + 1, members[succ[p][0]] + 1)  # 1-based states
+               for p in range(a, b) if len(succ[p]) == 1] for a, b in zip(ends, ends[1:]))
     firsts = [o for o in (next(_obstructions(g), None) for g in groups) if o is not None]
     return min(firsts, key=lambda o: (o.j, o.k), default=None)
 
@@ -248,24 +248,34 @@ class _Problem:
     """One synthesis problem, prepared once per call, and the only view of
     the outputs that synthesis passes on. Keeps the network's
     ``partition`` (:func:`output_partition`, 1-based), which the
-    observability decision reads too, and lists each output class's
-    ascending states as ``classes`` (classes in ascending output order).
-    Refuses more than ``CELL_CAP`` equal-output pairs before anything
-    else, then derives each state's sorted distinct successors ``succ``,
-    which the pre-checks and the sweep share, and each class's member
-    option lists ``options``, which the zero-choice test and the counts
-    share. ``classes`` and ``succ`` are 0-based, as ``_kernel_py`` takes
-    them: the sweep reads the outputs only through ``classes``.
+    observability decision reads too, and refuses more than ``CELL_CAP``
+    equal-output pairs before anything else. Then it numbers the states
+    once, by walk position, the numbering ``_kernel_py`` takes: output
+    classes in ascending output order, states ascending inside a class.
+    ``members[p]`` is the 0-based state at position p, class k holds
+    positions ``ends[k]`` to ``ends[k + 1] - 1``, and ``succ[p]`` lists
+    position p's distinct successors as positions. They are listed in
+    ascending order of the states they stand for, not of positions: the
+    candidate order is lexicographic in successor states. ``options[k]``
+    is class k's slice of ``succ``, which the zero-choice test and the
+    counts share. Only this constructor, :func:`controller_for_map` and
+    :func:`structural_obstruction` translate between states and positions.
     """
 
-    __slots__ = ("partition", "classes", "succ", "options")
+    __slots__ = ("partition", "members", "ends", "succ", "options")
 
     def __init__(self, lcn: Lcn) -> None:
-        self.partition = output_partition(lcn)
-        self.classes = [[x - 1 for x in members] for members in self.partition.values()]
-        _check_pair_count(map(len, self.classes))  # before any counting
-        self.succ = succ = _successors(lcn)
-        self.options = [[succ[x] for x in cls] for cls in self.classes]
+        self.partition = part = output_partition(lcn)
+        _check_pair_count(map(len, part.values()))  # before any counting
+        self.members = members = [x - 1 for cls in part.values() for x in cls]
+        where = [0] * len(members)  # state -> its position
+        for p, x in enumerate(members):
+            where[x] = p
+        m, cols = lcn.input_dim, lcn.L.col_indices
+        self.succ = succ = [[where[t - 1] for t in sorted(set(cols[x * m:(x + 1) * m]))]
+                            for x in members]
+        self.ends = ends = [0, *accumulate(map(len, part.values()))]
+        self.options = [succ[a:b] for a, b in zip(ends, ends[1:])]
 
     def bounds(self) -> tuple[int, int | None, tuple[int | None, ...]]:
         """(naive, refined, per-class counts): the naive bound is the
@@ -286,13 +296,16 @@ def candidate_bounds(lcn: Lcn) -> tuple[int, int | None]:
     return naive, refined
 
 
-def controller_for_map(lcn: Lcn, succ0) -> ClosedLoopController:
-    """Canonical closed loop realizing a 0-based transition map: per
-    state, the least (1-based) input producing the wanted successor."""
+def controller_for_map(lcn: Lcn, members, succ0) -> ClosedLoopController:
+    """Canonical closed loop realizing a transition map given in walk
+    positions (``succ0[p]`` is position p's successor, and position p
+    holds state ``members[p]``): per state, the least (1-based) input
+    producing the wanted successor."""
     m, cols = lcn.input_dim, lcn.L.col_indices
-    return ClosedLoopController(
-        tuple(cols.index(t + 1, x * m, (x + 1) * m) - x * m + 1 for x, t in enumerate(succ0))
-    )
+    inputs = [0] * len(members)
+    for x, t in zip(members, succ0):
+        inputs[x] = cols.index(members[t] + 1, x * m, (x + 1) * m) - x * m + 1
+    return ClosedLoopController(tuple(inputs))
 
 
 def enumerate_candidates(lcn: Lcn) -> Iterator[ClosedLoopController]:
@@ -301,8 +314,8 @@ def enumerate_candidates(lcn: Lcn) -> Iterator[ClosedLoopController]:
     (classes in ascending output order, members ascending, values
     ascending). Yields exactly the refined bound."""
     problem = _Problem(lcn)
-    for succ0 in _kernel_py.candidates(problem.classes, problem.succ):
-        yield controller_for_map(lcn, succ0)
+    for succ0 in _kernel_py.candidates(problem.succ, problem.ends):
+        yield controller_for_map(lcn, problem.members, succ0)
 
 
 #: The verdict of each sweep outcome.
@@ -345,7 +358,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
         witness = ClosedLoopController((1,) * lcn.state_dim)
         return report(Verdict.SYNTHESIZED, witness, already_observable=True)
 
-    obstruction = structural_obstruction(problem.classes, problem.succ)
+    obstruction = structural_obstruction(problem.members, problem.ends, problem.succ)
     zero_class = next((i + 1 for i, options in enumerate(problem.options)
                        if not _has_distinct_choice(options)), None)
     if obstruction is not None or zero_class is not None:
@@ -353,8 +366,8 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
                       zero_choice_class=zero_class)
 
     cap = -1 if max_candidates is None else max_candidates
-    status, checked, succ0 = _kernel_py.sweep_first_observable(problem.classes, problem.succ, cap)
-    witness = None if succ0 is None else controller_for_map(lcn, succ0)
+    status, checked, succ0 = _kernel_py.sweep_first_observable(problem.succ, problem.ends, cap)
+    witness = None if succ0 is None else controller_for_map(lcn, problem.members, succ0)
     return report(_SWEEP_VERDICTS[status], witness, checked)
 
 

@@ -40,6 +40,13 @@ BIG84_G_MIX = (1, 2, 2, 1, 3, 1, 1, 1)
 BIG84_CL_ONES = Lcn(8, 1, 4, LogicalMatrix(8, (1, 2, 3, 6, 2, 1, 3, 5)), BIG84.H)
 BIG84_CL_MIX = Lcn(8, 1, 4, LogicalMatrix(8, (1, 3, 5, 6, 7, 1, 3, 5)), BIG84.H)
 
+# BIG84 with states 1-8 renamed 1, 3, 5, 7, 8, 2, 4, 6: its output classes
+# {1, 3, 5, 7, 8} / {2, 4, 6} interleave.
+BIG84_INTERLEAVED = Lcn(8, 4, 4,
+                        LogicalMatrix(8, (1, 1, 3, 5, 1, 3, 5, 7, 3, 5, 1, 7, 5, 7, 4, 6,
+                                          5, 8, 4, 2, 8, 2, 4, 7, 2, 4, 6, 1, 3, 5, 4, 2)),
+                        LogicalMatrix(4, (1, 2, 1, 2, 1, 2, 1, 1)))
+
 # 3-state, 2-input, observable; the closed loop [1,2,1] breaks that.
 TRI32 = Lcn(3, 2, 2, LogicalMatrix(3, (1, 3, 3, 2, 1, 1)), LogicalMatrix(2, (1, 1, 2)))
 TRI32_CL = Lcn(3, 1, 2, LogicalMatrix(3, (1, 2, 1)), TRI32.H)

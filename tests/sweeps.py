@@ -9,7 +9,9 @@ reference that the refinement must agree with, pair for pair.
 ``reference_candidates`` is the candidate walk the kernel used before
 its per-class odometer, one option iterator per position, and
 ``reference_sweep`` the sweep over it: the references for the
-kernel's candidate order and sweep results.
+kernel's candidate order and sweep results. The references number
+states as the network does; the kernel numbers them by walk position,
+and ``in_states`` translates its candidates back for comparison.
 """
 
 from itertools import chain
@@ -70,12 +72,23 @@ def closed_loop_observable(succ, out, kernel=_kernel_py) -> bool:
     return kernel._unsafe_pair([s - 1 for s in succ], out, None) is None
 
 
-def sweep_count_observable(classes, succ, out, kernel=_kernel_py):
-    """Evaluate every candidate of ``kernel``'s walk; return
-    ``(total, observable_count)``."""
+def in_states(members, succ0):
+    """The kernel candidate ``succ0`` (indexed by walk position, holding
+    positions) as a list indexed by 0-based state and holding states;
+    position p holds state ``members[p]``."""
+    state = [0] * len(members)
+    for x, t in zip(members, succ0):
+        state[x] = members[t]
+    return state
+
+
+def sweep_count_observable(succ, ends, kernel=_kernel_py):
+    """Evaluate every candidate of ``kernel``'s walk, each position
+    labelled by its class; return ``(total, observable_count)``."""
+    out = [k for k in range(len(ends) - 1) for _ in range(ends[k], ends[k + 1])]
     total = good = 0
     hint = None
-    for succ0 in kernel.candidates(classes, succ):
+    for succ0 in kernel.candidates(succ, ends):
         total += 1
         pair = kernel._unsafe_pair(succ0, out, hint)
         if pair is None:

@@ -165,8 +165,7 @@ def test_criterion_5_big_network_bounds_synthesis_and_graphs():
 
         problem = _Problem(nets.BIG84)
         t0 = time.perf_counter()
-        total, _good = sweep_count_observable(problem.classes, problem.succ,
-                                              nets.BIG84.H.col_indices)
+        total, _good = sweep_count_observable(problem.succ, problem.ends)
         yielded = sum(1 for _ in enumerate_candidates(nets.BIG84))
         elapsed = time.perf_counter() - t0
         assert total == yielded == 7038

@@ -452,7 +452,7 @@ class TestExportDot:
         lcns = [random_lcn(rng, n_max=9, m_max=3, q_max=3) for _ in range(2000)]
         lcns += [load_network(p) for p in sorted(fixtures_dir.glob("*.json"))
                  if not p.name.startswith(("ctrl_", "bad_"))]
-        assert len(lcns) == 2010
+        assert len(lcns) == 2011
         for lcn in lcns:
             expected = transition_dot_from_adjacency(_adjacency_via_stp(lcn))
             assert export_dot(transition_graph(lcn)) == expected

@@ -175,18 +175,27 @@ class TestApplyFeedback:
         assert not (tmp_path / "x.json").exists()
 
 
+#: BIG84, and BIG84 with states 1-8 renamed 1, 3, 5, 7, 8, 2, 4, 6, whose
+#: output classes interleave: the same bounds, but candidates ordered by
+#: the renamed successors. Each fixture's candidates_checked and witness,
+#: from tests/sweeps.reference_sweep; the oracle finds each witness observable
+BIG84_FIXTURES = (("big84.json", 829, [1, 2, 2, 1, 3, 1, 1, 4]),
+                  ("big84_interleaved.json", 783, [1, 1, 2, 3, 4, 2, 2, 1]))
+
+
 class TestSynthesize:
     def test_big_network(self, capsys, fixtures_dir, tmp_path):
-        out_file = tmp_path / "controller.json"
-        code, doc, _ = run_json(capsys, "synthesize", fixtures_dir / "big84.json",
-                                "--out", out_file)
-        assert code == 0
-        assert doc["verdict"] == "SYNTHESIZED"
-        assert doc["naive_bound"] == 49152
-        assert doc["refined_bound"] == 7038
-        assert doc["num_factors"] == [153, 46]
-        g = json.loads(out_file.read_text())["g"]
-        assert doc["witness"] == g
+        for name, checked, witness in BIG84_FIXTURES:
+            out_file = tmp_path / "controller.json"
+            code, doc, _ = run_json(capsys, "synthesize", fixtures_dir / name, "--out", out_file)
+            assert code == 0
+            assert doc["verdict"] == "SYNTHESIZED"
+            assert doc["naive_bound"] == 49152
+            assert doc["refined_bound"] == 7038
+            assert doc["num_factors"] == [153, 46]
+            assert (doc["candidates_checked"], doc["witness"]) == (checked, witness)
+            g = json.loads(out_file.read_text())["g"]
+            assert doc["witness"] == g
 
     def test_sink_not_synthesizable(self, capsys, fixtures_dir):
         code, doc, _ = run_json(capsys, "synthesize", fixtures_dir / "sink42_out2.json")
@@ -213,9 +222,10 @@ class TestSynthesize:
 
 class TestBounds:
     def test_big_network(self, capsys, fixtures_dir):
-        code, doc, _ = run_json(capsys, "bounds", fixtures_dir / "big84.json")
-        assert code == 0
-        assert doc == {"naive": 49152, "refined": 7038, "num_factors": [153, 46]}
+        for name, _checked, _witness in BIG84_FIXTURES:
+            code, doc, _ = run_json(capsys, "bounds", fixtures_dir / name)
+            assert code == 0
+            assert doc == {"naive": 49152, "refined": 7038, "num_factors": [153, 46]}
 
     def test_counts_each_class_once(self, capsys, fixtures_dir, monkeypatch):
         calls = []

@@ -31,6 +31,7 @@ class TestNetworkFiles:
                     "ring42_out2": nets.RING42_OUT2, "ring42_fb_out2": nets.RING42_FB_OUT2,
                     "sink42_out2": nets.SINK42_OUT2, "big84": nets.BIG84,
                     "big84_cl_ones": nets.BIG84_CL_ONES, "big84_cl_mix": nets.BIG84_CL_MIX,
+                    "big84_interleaved": nets.BIG84_INTERLEAVED,
                     "tri32": nets.TRI32, "tri32_cl": nets.TRI32_CL}
         loaded = set()
         for path in sorted(fixtures_dir.glob("*.json")):

@@ -15,7 +15,7 @@ import pytest
 import nets
 from conftest import random_lcn
 from oracles import oracle_observable
-from sweeps import (closed_loop_observable, equal_output_pairs, reference_candidates,
+from sweeps import (closed_loop_observable, equal_output_pairs, in_states, reference_candidates,
                     reference_sweep, scan_unsafe_pair, sweep_count_observable)
 
 from lcnsyn import (
@@ -25,9 +25,10 @@ from lcnsyn import (
     candidate_bounds,
     enumerate_candidates,
     is_observable,
+    output_partition,
     synthesize_observability,
 )
-from lcnsyn import _kernel_py, kernel
+from lcnsyn import _kernel_py, analysis, kernel
 from lcnsyn.synthesis import _Problem, injective_choice_count
 
 
@@ -39,11 +40,34 @@ def backend(request):
 
 
 def sweep_arguments(lcn):
-    """The sweep's arguments, as synthesis prepares them: the output
-    classes and each state's options. The references that need outputs
-    take ``lcn.H.col_indices`` besides."""
+    """The sweep's arguments, as synthesis prepares them: each walk
+    position's options and where each class's positions end."""
     problem = _Problem(lcn)
-    return problem.classes, problem.succ
+    return problem.succ, problem.ends
+
+
+def state_arguments(lcn):
+    """The state-numbered references' arguments, read off the network:
+    each output class's ascending 0-based states and each state's
+    options. The references that need outputs take ``lcn.H.col_indices``
+    besides."""
+    classes = [[x - 1 for x in cls] for cls in output_partition(lcn).values()]
+    return classes, analysis._successors(lcn)
+
+
+def kernel_in_states(lcn):
+    """The kernel's candidates and capped sweeps on ``lcn``, translated
+    to state numbering through the prepared problem's ``members``:
+    ``(candidates, sweep)``, where ``sweep(cap)`` is
+    ``sweep_first_observable``'s result with its witness in states."""
+    problem = _Problem(lcn)
+    args, members = (problem.succ, problem.ends), problem.members
+
+    def sweep(cap):
+        status, checked, found = _kernel_py.sweep_first_observable(*args, cap)
+        return status, checked, None if found is None else tuple(in_states(members, found))
+
+    return [in_states(members, succ0) for succ0 in _kernel_py.candidates(*args)], sweep
 
 
 def closed_loop_arrays(lcn):
@@ -189,8 +213,8 @@ class TestCandidateWalk:
     def test_matches_brute_force_product_order(self, rng):
         for lcn in WALK_EDGE_SHAPES + tuple(random_lcn(rng, n_max=5, m_max=3, q_max=2)
                                             for _ in range(60)):
-            classes, succ = sweep_arguments(lcn)
-            walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
+            classes, succ = state_arguments(lcn)
+            walked, _sweep = kernel_in_states(lcn)
             assert walked == list(product_order(classes, succ, lcn.H.col_indices))
 
     def test_big_network_leaf_count(self):
@@ -216,7 +240,7 @@ class TestCandidateWalk:
             draws += [random_lcn(rng, n_max=6, m_max=3, q_max=4),
                       nets.random_network(i, n, rng.randint(1, 3), rng.randint(1, n))]
         for lcn in draws + list(nets.ALL_REFERENCE_NETS):
-            classes, succ = sweep_arguments(lcn)
+            classes, succ = state_arguments(lcn)
             out = lcn.H.col_indices
             relabelled = [3 * y - 1 for y in out]
             counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
@@ -225,12 +249,11 @@ class TestCandidateWalk:
                            "zero-choice class": 0 in counts,
                            "streaming class": any(c * len(cls) > bound
                                                   for c, cls in zip(counts, classes))})
-            walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
+            walked, sweep = kernel_in_states(lcn)
             assert walked == [list(succ0) for succ0 in reference_candidates(classes, succ)]
             checked = reference_sweep(classes, succ, out)[1]
             for cap in (-1, 0, 1, checked - 1, checked):
-                assert _kernel_py.sweep_first_observable(classes, succ, cap) == \
-                    reference_sweep(classes, succ, out, cap) == \
+                assert sweep(cap) == reference_sweep(classes, succ, out, cap) == \
                     reference_sweep(classes, succ, relabelled, cap)
         for shape in ("one class", "many classes", "single-member class", "zero-choice class"):
             assert shapes[shape] >= 200, shapes
@@ -256,16 +279,15 @@ class TestCandidateWalk:
         stepped = 0
         for i in range(1_500):
             lcn = nets.random_network(i, 6 + i % 5, 2, 1 + i // 5 % 2)
-            classes, succ = sweep_arguments(lcn)
+            classes, succ = state_arguments(lcn)
             out = lcn.H.col_indices
             before = calls
-            walked = [list(succ0) for succ0 in _kernel_py.candidates(classes, succ)]
+            walked, sweep = kernel_in_states(lcn)
             stepped += calls > before
             assert walked == [list(succ0) for succ0 in reference_candidates(classes, succ)]
             checked = len(walked)
             for cap in (-1, 0, 1, checked - 1, checked):
-                assert _kernel_py.sweep_first_observable(classes, succ, cap) == \
-                    reference_sweep(classes, succ, out, cap)
+                assert sweep(cap) == reference_sweep(classes, succ, out, cap)
         assert stepped >= 200, stepped
 
     def test_a_class_past_the_cache_bound_streams(self, monkeypatch):
@@ -301,7 +323,7 @@ class TestSweep:
         switches = 0
         for lcn in [random_lcn(rng) for _ in range(30)] + [random_lcn(rng, 6, 4, 3)
                                                            for _ in range(30)]:
-            args = sweep_arguments(lcn)
+            args, members = sweep_arguments(lcn), _Problem(lcn).members
             closed = [apply_feedback(lcn, c) for c in enumerate_candidates(lcn)]
             doomed = [indistinguishable_pairs(fed) for fed in closed]
             switches += sum(1 for a, b in zip(doomed, doomed[1:]) if a and b and not a & b)
@@ -310,13 +332,12 @@ class TestSweep:
             status, checked, found = backend.sweep_first_observable(*args, -1)
             if hits:
                 assert status == backend.FOUND
-                assert tuple(s + 1 for s in found) == hits[0]
+                assert tuple(s + 1 for s in in_states(members, found)) == hits[0]
                 assert checked == maps.index(hits[0]) + 1
             else:
                 assert status == backend.EXHAUSTED
                 assert checked == len(maps)
-            assert sweep_count_observable(*args, lcn.H.col_indices, backend) == \
-                (len(maps), len(hits))
+            assert sweep_count_observable(*args, backend) == (len(maps), len(hits))
         assert switches >= 1
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 828])
@@ -331,8 +352,7 @@ class TestSweep:
         assert backend.sweep_first_observable(*args, -1) == (status, checked, found)
 
     def test_big_network_full_count(self, backend):
-        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84),
-                                              nets.BIG84.H.col_indices, backend)
+        total, _good = sweep_count_observable(*sweep_arguments(nets.BIG84), backend)
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
@@ -349,8 +369,8 @@ class TestBenchmarkSurface:
         # the call is the one synthesis makes
         assert _kernel_py.FOUND == 0
         problem = _Problem(nets.BIG84)
-        status, checked, _found = _kernel_py.sweep_first_observable(problem.classes,
-                                                                    problem.succ, -1)
+        status, checked, _found = _kernel_py.sweep_first_observable(problem.succ,
+                                                                    problem.ends, -1)
         assert (status, checked) == (0, 829)
 
     def test_backend_keyword(self):

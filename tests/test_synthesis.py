@@ -42,7 +42,7 @@ LOCKED22 = Lcn(2, 2, 1, LogicalMatrix(2, (1, 1, 2, 2)), LogicalMatrix(1, (1, 1))
 def obstruction(lcn):
     """``structural_obstruction`` on the prepared problem, as synthesis calls it."""
     problem = _Problem(lcn)
-    return structural_obstruction(problem.classes, problem.succ)
+    return structural_obstruction(problem.members, problem.ends, problem.succ)
 
 
 def class_options(lcn, i):
@@ -361,6 +361,38 @@ class TestEnumerateCandidates:
         assert fed_maps == [(1, 2), (2, 1)]
 
 
+class TestProblemView:
+    def test_walk_positions_stand_for_the_states(self, rng):
+        # _Problem numbers the states by walk position: classes in
+        # ascending output order, states ascending inside a class. Each
+        # position's successors are positions, listed in ascending order of
+        # the states they stand for, and each class's options are its slice
+        # of them. Two thirds of the networks have their outputs sorted, so
+        # each class is a run of states; the rest draw 3-10 states and 2 or
+        # more outputs freely, so most of those interleave
+        interleaved = 0
+        for i in range(300):
+            n = rng.randint(1, 10) if i % 3 else rng.randint(3, 10)
+            q = rng.randint(1, n) if i % 3 else rng.randint(2, n)
+            lcn = nets.random_network(i, n, rng.randint(1, 4), q)
+            if i % 3:
+                lcn = Lcn(n, lcn.input_dim, lcn.output_dim, lcn.L,
+                          LogicalMatrix(lcn.output_dim, tuple(sorted(lcn.H.col_indices))))
+            problem = _Problem(lcn)
+            members, ends, succ = problem.members, problem.ends, problem.succ
+            classes = [[x - 1 for x in cls] for cls in output_partition(lcn).values()]
+            interleaved += members != list(range(n))
+            assert sorted(members) == list(range(n))
+            assert len(ends) == len(classes) + 1 and ends[0] == 0
+            for k, cls in enumerate(classes):
+                assert [members[p] for p in range(ends[k], ends[k + 1])] == cls
+                assert problem.options[k] == succ[ends[k]:ends[k + 1]]
+            states = analysis._successors(lcn)
+            for p in range(n):
+                assert [members[t] for t in succ[p]] == states[members[p]]
+        assert interleaved >= 60, interleaved
+
+
 class TestSynthesize:
     def test_big_network_synthesized(self):
         report = synthesize_observability(nets.BIG84)
@@ -643,15 +675,15 @@ class TestSynthesize:
             synthesize_observability(net)
         assert partitioned == list(nets.ALL_REFERENCE_NETS)
 
-        # the sweep gets the prepared classes and options and the cap: no
-        # output list and no pair list
+        # the sweep gets the prepared options, the classes' ends and the
+        # cap: no output list and no pair list
         swept = []
         sweep = synthesis._kernel_py.sweep_first_observable
         monkeypatch.setattr(synthesis._kernel_py, "sweep_first_observable",
                             lambda *a: swept.append(a) or sweep(*a))
         assert synthesize_observability(nets.BIG84).candidates_checked == 829
         problem = synthesis._Problem(nets.BIG84)
-        assert swept == [(problem.classes, problem.succ, -1)]
+        assert swept == [(problem.succ, problem.ends, -1)]
 
     def test_leaf_check_memory_does_not_grow_with_n_squared(self):
         # every leaf is unsafe (each pair can loop onto itself), so the
