@@ -19,8 +19,21 @@ positions on a stack of option iterators, and keeps them in a list, so
 most candidates cost one slice assignment; the lists of all classes
 together hold at most ``CELL_CAP`` cells, and a class that would pass
 that walks its positions afresh on every entry. ``candidates`` is the
-one definition of the order; the sweep here consumes it, and so does
-``synthesis.enumerate_candidates``.
+one definition of the order, and ``synthesis.enumerate_candidates``
+yields all of it.
+
+The sweep walks the same order, but holds each one-state class (a class
+of one position) at its first option. A pair walk only reads the
+successors of two distinct positions of one class, as a candidate gives
+equal-output positions distinct successors; so no leaf check reads a
+one-state class's successor, and each of its other options gives every
+choice of the later classes the verdict that the first option gave. The
+sweep counts those candidates instead of checking them: stepping back
+past the class adds its other options times the later classes' numbers
+of choices, which the walk knows, as it has just walked each of them in
+full. So the sweep's ``checked`` is the rank in the full order, the
+number of candidates up to and including the witness, or all of them;
+it is not the number of leaf checks, which can be much lower.
 
 A class's walk can thrash: an early position takes a value that a much
 later position of the same class needs, and the walk tries every choice
@@ -57,6 +70,8 @@ pair is found, never a result.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .stp import CELL_CAP
 
@@ -166,16 +181,25 @@ def _has_distinct_choice(options) -> bool:
 
 
 def candidates(succ, ends):
-    """Walk the candidate space in sweep order; the one definition of
-    that order.
+    """Every candidate in sweep order; the one definition of that order.
 
     Yields one successor list per candidate, indexed by position and
     holding positions: the same list every time, changed in place when
-    the walk resumes, so copy it to keep it. The walk is a mixed-radix
-    odometer over the classes, the last class fastest (Knuth, TAOCP 4A,
-    7.2.1.1). Used values are per class, so a class's choices never
-    depend on another class's, and the product of the classes' choices,
-    each in lexicographic order, is the candidate order.
+    the walk resumes, so copy it to keep it. See ``_walk``.
+    """
+    return _walk(succ, ends, None)
+
+
+def _walk(succ, ends, skipped):
+    """Walk the candidate space in sweep order, as ``candidates`` yields
+    it; with a list ``skipped``, hold each one-state class at its first
+    option, as the sweep walks it.
+
+    The walk is a mixed-radix odometer over the classes, the last class
+    fastest (Knuth, TAOCP 4A, 7.2.1.1). Used values are per class, so a
+    class's choices never depend on another class's, and the product of
+    the classes' choices, each in lexicographic order, is the candidate
+    order.
 
     A class's choices are found once, by a walk over its positions on a
     stack of option iterators and one set of used values (its last
@@ -185,7 +209,16 @@ def candidates(succ, ends):
     together hold at most ``CELL_CAP`` cells (one per position per
     choice): a class that would pass that drops its row and walks its
     positions afresh on every entry. A class with no choice ends the
-    walk, as the product is then empty.
+    walk, as the product is then empty. ``counts[k]`` is the number of
+    class k's choices once its latest walk is complete, whether it keeps
+    a row or streams.
+
+    A held class takes its first option on every entry and keeps no row.
+    When the walk steps back past it, every later class has just been
+    walked in full, so the candidates passed over, its other options
+    times the later classes' choices, are known and are added to
+    ``skipped[0]``: the rank of a yielded candidate is the number yielded
+    so far, itself included, plus ``skipped[0]``.
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -199,6 +232,13 @@ def candidates(succ, ends):
     rows = [[] for _ in range(last + 1)]  # per class, its choices so far; None once it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
     cursor = [None] * (last + 1)  # per done class, an iterator over its row
+    counts = [0] * (last + 1)  # per class, its choices, once its latest walk is complete
+    held = [0] * (last + 1)  # per held class, its options past the first
+    if skipped is not None:
+        for k in range(last + 1):
+            a = ends[k]
+            if ends[k + 1] - a == 1 and len(succ[a]) > 1:
+                counts[k], held[k] = len(succ[a]), len(succ[a]) - 1
     cells, k, fresh = 0, 0, True
     while k >= 0:
         a, b = ends[k], ends[k + 1]
@@ -218,8 +258,18 @@ def candidates(succ, ends):
                 succ0[a:b] = choice
                 k, fresh = k + 1, True
             continue
+        if held[k]:  # at its first option; the candidates with another are counted
+            if fresh:
+                succ0[a] = succ[a][0]
+                if k < last:
+                    k += 1
+                    continue
+                yield succ0
+            skipped[0] += held[k] * prod(counts[k + 1:])
+            k, fresh = k - 1, False
+            continue
         if fresh:
-            p, its[a], taken = a, iter(succ[a]), set()
+            p, its[a], taken, counts[k] = a, iter(succ[a]), set(), 0
         else:  # resume at the class's last position; its used values are
             # rebuilt, so that no class waiting for a later one holds a set
             p, taken = b - 1, set(succ0[a:b - 1])
@@ -257,7 +307,9 @@ def candidates(succ, ends):
                 cells += b - a
                 if cells > CELL_CAP:
                     cells -= len(row) * (b - a)
-                    rows[k] = row = None
+                    counts[k], rows[k], row = len(row), None, None
+            else:
+                counts[k] += 1
             if k < last:
                 break
             yield succ0
@@ -265,7 +317,7 @@ def candidates(succ, ends):
             if row is not None:
                 if not row:
                     return
-                done[k] = True
+                done[k], counts[k] = True, len(row)
             k, fresh = k - 1, False
         else:
             k, fresh = k + 1, True
@@ -274,21 +326,36 @@ def candidates(succ, ends):
 def sweep_first_observable(succ, ends, cap: int = -1):
     """Search the candidate space for the first observable closed loop.
 
-    Evaluates at most ``cap`` candidates when ``cap >= 0``. Returns
-    ``(status, checked, witness)`` where status is FOUND, EXHAUSTED or
-    CAP_REACHED and witness is the observable candidate's successor
-    tuple, indexed by position and holding positions (None unless
-    FOUND). Each position's output is its class's index.
+    Returns ``(status, checked, witness)`` where status is FOUND,
+    EXHAUSTED or CAP_REACHED, ``checked`` is the number of candidates in
+    sweep order up to and including the witness, or all of them, and
+    witness is the observable candidate's successor tuple, indexed by
+    position and holding positions (None unless FOUND). Each position's
+    output is its class's index. With ``cap >= 0`` it returns
+    CAP_REACHED with ``checked = cap`` when the witness's rank, or the
+    total when there is no witness, passes ``cap``, and so evaluates at
+    most ``cap`` candidates.
+
+    A one-state class is held at its first option (``_walk``): its
+    state is in no equal-output pair, so no pair walk reads its
+    successor, and each of its other options gives every later choice
+    the verdict that the first option gave it. Those candidates are
+    counted, not evaluated, and the first witness, if any, has the first
+    option there.
     """
     out = []  # each position's class index
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
-    checked, hint = 0, None
-    for succ0 in candidates(succ, ends):
-        if 0 <= cap <= checked:
-            return CAP_REACHED, checked, None
-        checked += 1
+    skipped = [0]  # the candidates passed over, each as doomed as its evaluated twin
+    evaluated, hint = 0, None
+    for succ0 in _walk(succ, ends, skipped):
+        if 0 <= cap <= evaluated + skipped[0]:
+            return CAP_REACHED, cap, None
+        evaluated += 1
         hint = _unsafe_pair(succ0, out, hint)
         if hint is None:
-            return FOUND, checked, tuple(succ0)
+            return FOUND, evaluated + skipped[0], tuple(succ0)
+    checked = evaluated + skipped[0]
+    if 0 <= cap < checked:
+        return CAP_REACHED, cap, None
     return EXHAUSTED, checked, None

@@ -336,10 +336,18 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     Otherwise the structural obstruction, then a matching per class (the
     zero-choice test), then a sweep of the candidates in order until one
     verifies observable; exhausting them proves no state feedback of any
-    size can help. The counts come last, for every outcome. A candidate
-    cap (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
-    instead of guessing; a cap that is not an int (a bool included)
-    raises TypeError, a negative one ValueError, both before any work.
+    size can help. The counts come last, for every outcome.
+    ``candidates_checked`` is the number of candidates in sweep order up
+    to and including the witness, or all of them; it is not the number of
+    closed loops verified. A state alone in its output class is in no
+    equal-output pair, so no pair walk reads its successor: the sweep
+    verifies its first option only and counts the candidates with the
+    others, which share those verdicts. A candidate cap
+    (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
+    instead of guessing, with ``candidates_checked`` equal to the cap,
+    and bounds the closed loops verified; a cap that is not an int (a
+    bool included) raises TypeError, a negative one ValueError, both
+    before any work.
     ``backend`` names the sweep kernel: "auto" or "python", the only one.
     """
     if max_candidates is not None:

@@ -356,6 +356,84 @@ class TestSweep:
         assert total == candidate_bounds(nets.BIG84)[1]
 
 
+def count_leaf_checks(monkeypatch):
+    """Wrap ``_kernel_py._unsafe_pair`` to count its calls; returns a
+    one-element list that holds the count."""
+    calls = [0]
+    check = _kernel_py._unsafe_pair
+
+    def counted(succ0, out, hint):
+        calls[0] += 1
+        return check(succ0, out, hint)
+
+    monkeypatch.setattr(_kernel_py, "_unsafe_pair", counted)
+    return calls
+
+
+class TestOneStateClasses:
+    """The sweep holds a class of one state at its first option: no pair
+    walk reads that state's successor, so its other options are counted
+    into ``checked``, never checked as leaves."""
+
+    @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
+    def test_matches_the_reference_sweep(self, monkeypatch, rng, bound):
+        # the reference evaluates every candidate up to the witness; the
+        # kernel must return the same status, rank and witness at caps
+        # around the end, at the real cache bound and at one that makes
+        # most multi-state classes stream. Few random networks with a
+        # one-state class are doomed, so every other draw gets states 1
+        # and 2 locked onto each other in one class, and its sweep runs to
+        # the end
+        monkeypatch.setattr(_kernel_py, "CELL_CAP", bound)
+        leaves = count_leaf_checks(monkeypatch)
+        shapes = Counter()
+        i = 0
+        while shapes["draws"] < 1_500:
+            n, m = rng.randint(3, 9), rng.randint(1, 3)
+            lcn = nets.random_network(i, n, m, rng.randint(n // 2 + 1, n))
+            if i % 2:
+                hcols = lcn.H.col_indices
+                lcn = _net((2,) * m + (1,) * m + lcn.L.col_indices[2 * m:],
+                           hcols[:1] * 2 + hcols[2:], m)
+            i += 1
+            classes, succ = state_arguments(lcn)
+            held = [k for k, cls in enumerate(classes) if len(cls) == 1 and len(succ[cls[0]]) > 1]
+            if not held:
+                continue
+            out = lcn.H.col_indices
+            counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
+            _walked, sweep = kernel_in_states(lcn)
+            status, checked, _found = reference_sweep(classes, succ, out)
+            shapes.update({"draws": 1, "found": status == _kernel_py.FOUND,
+                           "exhausted": status == _kernel_py.EXHAUSTED,
+                           "held class last": held[-1] == len(classes) - 1,
+                           "two held classes": len(held) >= 2,
+                           "streaming class": any(c * len(cls) > bound
+                                                  for c, cls in zip(counts, classes))})
+            for cap in (-1, 0, 1, checked - 1, checked, checked + 1):
+                want = reference_sweep(classes, succ, out, cap)
+                leaves[0] = 0
+                got = sweep(cap)
+                assert got == want, (i - 1, cap)
+                assert leaves[0] <= got[1]
+                shapes["fewer leaf checks"] += leaves[0] < got[1]
+                shapes["cap inside a skipped block"] += (got[0] == _kernel_py.CAP_REACHED
+                                                         and leaves[0] < cap)
+        for shape in ("found", "exhausted", "held class last", "two held classes",
+                      "fewer leaf checks", "cap inside a skipped block"):
+            assert shapes[shape] >= 200, shapes
+        if bound == 3:
+            assert shapes["streaming class"] >= 200, shapes
+
+    def test_exhaustive_pin_takes_a_third_of_the_leaf_checks(self, monkeypatch):
+        # the synth-exhaustive pool's pinned network: a one-state class
+        # with three options, so two thirds of its candidates are counted
+        leaves = count_leaf_checks(monkeypatch)
+        args = sweep_arguments(nets.random_network(146863, 14, 3, 5))
+        assert _kernel_py.sweep_first_observable(*args) == (_kernel_py.EXHAUSTED, 129_792, None)
+        assert leaves[0] == 43_264
+
+
 class TestBenchmarkSurface:
     """What ``perfbench/run.py`` and ``perfbench/spantrace.py`` use of the
     package. The benchmark's own tests are slow, so this pins it here."""
