@@ -18,8 +18,10 @@ fastest. It finds each class's choices once, by a walk over the class's
 positions on a stack of option iterators, and keeps them in a list, so
 most candidates cost one slice assignment; the lists of all classes
 together hold at most ``CELL_CAP`` cells, and a class that would pass
-that walks its positions afresh on every entry. ``candidates`` is the
-one definition of the order, and ``synthesis.enumerate_candidates``
+that walks its positions afresh on every entry. The odometer hands the
+last class's list to its caller whole, so a candidate there costs the
+caller's slice assignment and no resume of the walk. ``candidates`` is
+the one definition of the order, and ``synthesis.enumerate_candidates``
 yields all of it.
 
 The sweep walks the same order, but holds each one-state class (a class
@@ -187,13 +189,24 @@ def candidates(succ, ends):
     holding positions: the same list every time, changed in place when
     the walk resumes, so copy it to keep it. See ``_walk``.
     """
-    return _walk(succ, ends, None)
+    succ0, a = [0] * len(succ), ends[-2]
+    for choices in _walk(succ, ends, succ0, None):
+        for choice in choices:
+            succ0[a:] = choice
+            yield succ0
 
 
-def _walk(succ, ends, skipped):
+def _walk(succ, ends, succ0, skipped):
     """Walk the candidate space in sweep order, as ``candidates`` yields
     it; with a list ``skipped``, hold each one-state class at its first
     option, as the sweep walks it.
+
+    The walk fills ``succ0`` (one cell per position) and yields the last
+    class's choices in order: with each of them put at
+    ``succ0[ends[-2]:]`` in turn, ``succ0`` is the next candidate. Every
+    earlier class stands in ``succ0`` until the caller asks for more. A
+    last class that keeps a row yields it whole; otherwise each choice
+    comes alone, in a tuple of one.
 
     The walk is a mixed-radix odometer over the classes, the last class
     fastest (Knuth, TAOCP 4A, 7.2.1.1). Used values are per class, so a
@@ -217,8 +230,8 @@ def _walk(succ, ends, skipped):
     When the walk steps back past it, every later class has just been
     walked in full, so the candidates passed over, its other options
     times the later classes' choices, are known and are added to
-    ``skipped[0]``: the rank of a yielded candidate is the number yielded
-    so far, itself included, plus ``skipped[0]``.
+    ``skipped[0]``: the rank of a candidate is the number of candidates
+    handed out so far, itself included, plus ``skipped[0]``.
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -228,7 +241,7 @@ def _walk(succ, ends, skipped):
     below such a prefix, so the yield order is unchanged.
     """
     n, last = len(succ), len(ends) - 2
-    succ0, its = [0] * n, [None] * n  # its: per position of a walking class, its option iterator
+    its = [None] * n  # per position of a walking class, its option iterator
     rows = [[] for _ in range(last + 1)]  # per class, its choices so far; None once it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
     cursor = [None] * (last + 1)  # per done class, an iterator over its row
@@ -244,9 +257,7 @@ def _walk(succ, ends, skipped):
         a, b = ends[k], ends[k + 1]
         if done[k]:
             if k == last:
-                for choice in rows[k]:
-                    succ0[a:b] = choice
-                    yield succ0
+                yield rows[k]
                 k, fresh = k - 1, False
                 continue
             if fresh:
@@ -264,7 +275,7 @@ def _walk(succ, ends, skipped):
                 if k < last:
                     k += 1
                     continue
-                yield succ0
+                yield (succ0[a:b],)
             skipped[0] += held[k] * prod(counts[k + 1:])
             k, fresh = k - 1, False
             continue
@@ -312,7 +323,7 @@ def _walk(succ, ends, skipped):
                 counts[k] += 1
             if k < last:
                 break
-            yield succ0
+            yield (succ0[a:b],)
         if p < a:  # the class is exhausted
             if row is not None:
                 if not row:
@@ -347,14 +358,22 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
     skipped = [0]  # the candidates passed over, each as doomed as its evaluated twin
-    evaluated, hint = 0, None
-    for succ0 in _walk(succ, ends, skipped):
-        if 0 <= cap <= evaluated + skipped[0]:
+    evaluated, hint, capped = 0, None, False
+    succ0, a = [0] * len(succ), ends[-2]
+    for choices in _walk(succ, ends, succ0, skipped):
+        # the walk adds to skipped[0] only between rows, so this row's
+        # candidates have the ranks evaluated + skipped[0] + 1, + 2, ...
+        if 0 <= cap < evaluated + skipped[0] + len(choices):  # evaluate up to rank cap
+            choices, capped = choices[:max(cap - evaluated - skipped[0], 0)], True
+        for choice in choices:
+            succ0[a:] = choice
+            hint = _unsafe_pair(succ0, out, hint)
+            if hint is None:
+                rank = evaluated + skipped[0] + choices.index(choice) + 1
+                return FOUND, rank, tuple(succ0)
+        if capped:
             return CAP_REACHED, cap, None
-        evaluated += 1
-        hint = _unsafe_pair(succ0, out, hint)
-        if hint is None:
-            return FOUND, evaluated + skipped[0], tuple(succ0)
+        evaluated += len(choices)
     checked = evaluated + skipped[0]
     if 0 <= cap < checked:
         return CAP_REACHED, cap, None
