@@ -14,28 +14,40 @@ values, each compared by its place in ``succ[p]`` (the order of the
 states they stand for), class by class. Used values are per
 class, so the candidates are the product of the classes' choices, and
 ``candidates`` steps that product as an odometer, the last class
-fastest. It finds each class's choices once, by a walk over the class's
-positions on a stack of option iterators, and keeps them in a list, so
-most candidates cost one slice assignment; the lists of all classes
-together hold at most ``CELL_CAP`` cells, and a class that would pass
-that walks its positions afresh on every entry. The odometer hands the
-last class's list to its caller whole, so a candidate there costs the
-caller's slice assignment and no resume of the walk. ``candidates`` is
-the one definition of the order, and ``synthesis.enumerate_candidates``
-yields all of it.
+fastest. A class whose members each have one option has one choice at
+most; it is written into the candidate once, before the walk starts,
+and the odometer never enters it. The odometer finds each other class's
+choices once, by a walk over the class's positions on a stack of option
+iterators, and keeps them in a list, so most candidates cost one slice
+assignment; the lists of all classes together hold at most ``CELL_CAP``
+cells, and a class that would pass that walks its positions afresh on
+every entry. The odometer hands the last class it steps to its caller
+whole, a list at a time, so a candidate there costs the caller's slice
+assignment and no resume of the walk. ``candidates`` is the one
+definition of the order, and ``synthesis.enumerate_candidates`` yields
+all of it.
 
-The sweep walks the same order, but holds each one-state class (a class
-of one position) at its first option. A pair walk only reads the
-successors of two distinct positions of one class, as a candidate gives
-equal-output positions distinct successors; so no leaf check reads a
-one-state class's successor, and each of its other options gives every
-choice of the later classes the verdict that the first option gave. The
-sweep counts those candidates instead of checking them: stepping back
-past the class adds its other options times the later classes' numbers
-of choices, which the walk knows, as it has just walked each of them in
-full. So the sweep's ``checked`` is the rank in the full order, the
-number of candidates up to and including the witness, or all of them;
-it is not the number of leaf checks, which can be much lower.
+The sweep walks the same order, but holds each class that lies on no
+cycle of the class graph at its first choice. That graph has an edge
+c -> d when two members of c have options u != v that both lie in d. A
+closed loop is unobservable exactly when it has two distinct equivalent
+states. They have equal outputs, so they lie in one class, and since a
+candidate gives equal-output positions distinct successors, their
+successors are again two distinct equivalent states, along an edge of
+the class graph. Their walk repeats a pair at last, so some cycle of
+pairs, all in classes on cycles, dooms the closed loop, and it reads
+only those classes' successors. A held class's other choices therefore
+give every choice of the later classes the verdict that its first
+choice gave, and the sweep counts those candidates instead of checking
+them: stepping back past the class adds its other choices times the
+later classes' numbers of choices, which the walk knows, as it has just
+walked each of them in full. A one-state class has no edge at all, and
+is the simplest held class. So the sweep's ``checked`` is the rank in
+the full order, the number of candidates up to and including the
+witness, or all of them; it is not the number of leaf checks, which can
+be much lower. The first witness, if any, has every held class at its
+first choice, as that candidate ranks no later and has the same
+verdict.
 
 A class's walk can thrash: an early position takes a value that a much
 later position of the same class needs, and the walk tries every choice
@@ -75,6 +87,7 @@ from __future__ import annotations
 
 from math import prod
 
+from .analysis import _strong_components
 from .stp import CELL_CAP
 
 FOUND = 0
@@ -189,24 +202,111 @@ def candidates(succ, ends):
     holding positions: the same list every time, changed in place when
     the walk resumes, so copy it to keep it. See ``_walk``.
     """
-    succ0, a = [0] * len(succ), ends[-2]
-    for choices in _walk(succ, ends, succ0, None):
+    succ0 = [0] * len(succ)
+    spans = _spans(succ, ends, succ0)
+    if spans is None:
+        return
+    last = _last_slice(spans, len(succ))
+    for choices in _walk(succ, ends, spans, succ0, None):
         for choice in choices:
-            succ0[a:] = choice
+            succ0[last] = choice
             yield succ0
 
 
-def _walk(succ, ends, succ0, skipped):
-    """Walk the candidate space in sweep order, as ``candidates`` yields
-    it; with a list ``skipped``, hold each one-state class at its first
-    option, as the sweep walks it.
+def _spans(succ, ends, succ0):
+    """The spans ``(a, b)`` of the classes that the walk steps, in order,
+    or None when a class of one-option members has no choice, as two of
+    them share their option.
 
-    The walk fills ``succ0`` (one cell per position) and yields the last
-    class's choices in order: with each of them put at
-    ``succ0[ends[-2]:]`` in turn, ``succ0`` is the next candidate. Every
-    earlier class stands in ``succ0`` until the caller asks for more. A
-    last class that keeps a row yields it whole; otherwise each choice
-    comes alone, in a tuple of one.
+    A class whose members each have one option has at most one choice.
+    When its options are distinct, it is written into ``succ0`` here, once,
+    and left out of the walk; so is every such class but the last when all
+    classes are like that, as the walk steps at least one class.
+    """
+    spans = [(a, b) for a, b in zip(ends, ends[1:]) if len(succ[a]) > 1]
+    if len(spans) == len(ends) - 1:  # no class is fixed: each first member has a choice
+        return spans
+    spans = []
+    for a, b in zip(ends, ends[1:]):
+        group = succ[a:b]
+        if sum(map(len, group)) > b - a:  # some member has two options or more
+            spans.append((a, b))
+            continue
+        only = [s[0] for s in group]
+        if len(set(only)) < b - a:
+            return None
+        succ0[a:b] = only
+    return spans or [(ends[-2], ends[-1])]
+
+
+def _last_slice(spans, n):
+    """The slice of a candidate that the walk's handed-out choices fill:
+    the last span, open-ended when it ends the candidate, as a slice
+    without a stop assigns faster."""
+    a, b = spans[-1]
+    return slice(a, None if b == n else b)
+
+
+def _self_edge(succ, a, b) -> bool:
+    """Whether two members of the class at positions a to b - 1 have
+    options u != v that both lie in the class: its edge to itself in the
+    class graph (``_held``)."""
+    positions, values, members = set(range(a, b)), set(), 0
+    for options in succ[a:b]:
+        inside = positions.intersection(options)
+        if inside:
+            members += 1
+            values |= inside
+            if members > 1 and len(values) > 1:
+                return True
+    return False
+
+
+def _held(succ, ends, spans, succ0):
+    """Per span, its choice in ``succ0`` when its class lies on no cycle
+    of the class graph, else None.
+
+    The class graph has an edge c -> d when two members of c have options
+    u != v that both lie in d: the one way that a pair of distinct states
+    of c can step to a pair of distinct states of d. A class lies on a
+    cycle when its strong component (``analysis._strong_components``,
+    Tarjan 1972) has two or more classes, or when it has an edge to itself.
+    The edge c -> d is there exactly when two members of c reach d and
+    two values of d are reached.
+    """
+    where = [k for k in range(len(ends) - 1) for _ in range(ends[k], ends[k + 1])]
+    graph = []
+    for a, b in zip(ends, ends[1:]):
+        # per class reached: its first member and value, and whether another came
+        member, value, members, values = {}, {}, set(), set()
+        for p in range(a, b):
+            for v in succ[p]:
+                d = where[v]
+                if member.setdefault(d, p) != p:
+                    members.add(d)
+                if value.setdefault(d, v) != v:
+                    values.add(d)
+        graph.append(list(members & values))
+    looped = [False] * len(graph)
+    for component in _strong_components(graph):
+        for c in component:
+            looped[c] = len(component) > 1 or c in graph[c]
+    return [None if looped[where[a]] else succ0[a:b] for a, b in spans]
+
+
+def _walk(succ, ends, spans, succ0, skipped):
+    """Walk the candidate space in sweep order, as ``candidates`` yields
+    it; with a list ``skipped``, hold each class on no cycle of the class
+    graph at its first choice, as the sweep walks it.
+
+    The walk steps the classes of ``spans`` (``_spans``, which has written
+    every other class's one choice into ``succ0``), fills ``succ0`` (one
+    cell per position) and yields the last span's choices in order: with
+    each of them put at ``succ0[a:b]`` in turn, where ``(a, b)`` is the
+    last span, ``succ0`` is the next candidate. Every earlier class stands
+    in ``succ0`` until the caller asks for more. A last class that keeps a
+    row yields it whole; otherwise each choice comes alone, in a tuple of
+    one.
 
     The walk is a mixed-radix odometer over the classes, the last class
     fastest (Knuth, TAOCP 4A, 7.2.1.1). Used values are per class, so a
@@ -226,12 +326,23 @@ def _walk(succ, ends, succ0, skipped):
     class k's choices once its latest walk is complete, whether it keeps
     a row or streams.
 
-    A held class takes its first option on every entry and keeps no row.
-    When the walk steps back past it, every later class has just been
-    walked in full, so the candidates passed over, its other options
-    times the later classes' choices, are known and are added to
-    ``skipped[0]``: the rank of a candidate is the number of candidates
-    handed out so far, itself included, plus ``skipped[0]``.
+    Before the walk first steps back past the last class, every class
+    stands at its first choice, and holding changes nothing but the
+    last class's later choices. So when the caller asks for a second
+    candidate, the sweep asks only whether the last class has an edge to
+    itself (``_self_edge``), which puts it on a cycle; it finds the held
+    classes (``_held``) then only when it has none, and otherwise at that
+    first step back. So a witness among the last class's first choices
+    costs no class graph when that class has an edge to itself, nor does
+    a first candidate that is the witness. A held class takes its first
+    choice on every entry. When the walk steps back past it, every later
+    class has just been walked in full, so the candidates passed over,
+    its other choices times the later classes' choices, are known and
+    are added to ``skipped[0]``: the rank of a candidate is the number of
+    candidates handed out so far, itself included, plus ``skipped[0]``. A
+    held class's own count comes from a walk of the class to its end that
+    hands nothing out, the first time the walk steps back past it (a held
+    last class: at once).
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -240,22 +351,21 @@ def _walk(succ, ends, succ0, skipped):
     no pairwise-distinct choice among the values not taken. No leaf lies
     below such a prefix, so the yield order is unchanged.
     """
-    n, last = len(succ), len(ends) - 2
+    n, last = len(succ), len(spans) - 1
     its = [None] * n  # per position of a walking class, its option iterator
-    rows = [[] for _ in range(last + 1)]  # per class, its choices so far; None once it streams
+    rows = [[] for _ in spans]  # per class, its choices so far; None once it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
     cursor = [None] * (last + 1)  # per done class, an iterator over its row
     counts = [0] * (last + 1)  # per class, its choices, once its latest walk is complete
-    held = [0] * (last + 1)  # per held class, its options past the first
-    if skipped is not None:
-        for k in range(last + 1):
-            a = ends[k]
-            if ends[k + 1] - a == 1 and len(succ[a]) > 1:
-                counts[k], held[k] = len(succ[a]), len(succ[a]) - 1
+    held = [None] * (last + 1)  # per class, its first choice if the sweep holds it
+    known = [False] * (last + 1)  # per held class, whether counts[k] is final
+    # whether the sweep's held classes are still to be found: 2 before the second
+    # candidate, 1 after it when the last class has an edge to itself, 0 once found
+    pending = 0 if skipped is None else 2
     cells, k, fresh = 0, 0, True
     while k >= 0:
-        a, b = ends[k], ends[k + 1]
-        if done[k]:
+        a, b = spans[k]
+        if done[k]:  # never a held class: no class is done when they are found
             if k == last:
                 yield rows[k]
                 k, fresh = k - 1, False
@@ -269,22 +379,25 @@ def _walk(succ, ends, succ0, skipped):
                 succ0[a:b] = choice
                 k, fresh = k + 1, True
             continue
-        if held[k]:  # at its first option; the candidates with another are counted
+        if held[k] is not None:  # at its first choice; the candidates with another are counted
             if fresh:
-                succ0[a] = succ[a][0]
+                succ0[a:b] = held[k]
                 if k < last:
                     k += 1
                     continue
-                yield (succ0[a:b],)
-            skipped[0] += held[k] * prod(counts[k + 1:])
-            k, fresh = k - 1, False
-            continue
+                yield (held[k],)
+            if known[k]:
+                skipped[0] += (counts[k] - 1) * prod(counts[k + 1:])
+                k, fresh = k - 1, False
+                continue
+            # its count is not known yet: the walk below finishes the class
         if fresh:
             p, its[a], taken, counts[k] = a, iter(succ[a]), set(), 0
         else:  # resume at the class's last position; its used values are
             # rebuilt, so that no class waiting for a later one holds a set
             p, taken = b - 1, set(succ0[a:b - 1])
         row, dead, entered = rows[k], 0, fresh  # dead ends since the last choice
+        quiet = held[k] is not None  # count the choices, hand none out
         while True:
             for v in its[p]:
                 if v not in taken:
@@ -321,15 +434,30 @@ def _walk(succ, ends, succ0, skipped):
                     counts[k], rows[k], row = len(row), None, None
             else:
                 counts[k] += 1
+            if quiet:
+                continue
             if k < last:
                 break
             yield (succ0[a:b],)
+            if pending == 2:  # the caller asks for a second candidate
+                if _self_edge(succ, a, b):
+                    pending = 1
+                else:
+                    held, pending = _held(succ, ends, spans, succ0), 0
+                    quiet = held[k] is not None
         if p < a:  # the class is exhausted
             if row is not None:
                 if not row:
                     return
-                done[k], counts[k] = True, len(row)
-            k, fresh = k - 1, False
+                counts[k] = len(row)
+            if pending:  # the first step back past the last class
+                held, pending = _held(succ, ends, spans, succ0), 0
+            if held[k] is None:
+                done[k] = row is not None
+                k -= 1
+            else:
+                known[k] = True  # the loop's top counts its skip
+            fresh = False
         else:
             k, fresh = k + 1, True
 
@@ -347,26 +475,29 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     total when there is no witness, passes ``cap``, and so evaluates at
     most ``cap`` candidates.
 
-    A one-state class is held at its first option (``_walk``): its
-    state is in no equal-output pair, so no pair walk reads its
-    successor, and each of its other options gives every later choice
-    the verdict that the first option gave it. Those candidates are
-    counted, not evaluated, and the first witness, if any, has the first
-    option there.
+    A class on no cycle of the class graph is held at its first choice
+    (``_walk``): no cycle of equal-output pairs reads its successors, so
+    each of its other choices gives every later choice the verdict that
+    the first choice gave it. Those candidates are counted, not
+    evaluated, and the first witness, if any, has the first choice there.
     """
     out = []  # each position's class index
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
     skipped = [0]  # the candidates passed over, each as doomed as its evaluated twin
     evaluated, hint, capped = 0, None, False
-    succ0, a = [0] * len(succ), ends[-2]
-    for choices in _walk(succ, ends, succ0, skipped):
+    succ0 = [0] * len(succ)
+    spans = _spans(succ, ends, succ0)
+    if spans is None:
+        return EXHAUSTED, 0, None
+    last = _last_slice(spans, len(succ))
+    for choices in _walk(succ, ends, spans, succ0, skipped):
         # the walk adds to skipped[0] only between rows, so this row's
         # candidates have the ranks evaluated + skipped[0] + 1, + 2, ...
         if 0 <= cap < evaluated + skipped[0] + len(choices):  # evaluate up to rank cap
             choices, capped = choices[:max(cap - evaluated - skipped[0], 0)], True
         for choice in choices:
-            succ0[a:] = choice
+            succ0[last] = choice
             hint = _unsafe_pair(succ0, out, hint)
             if hint is None:
                 rank = evaluated + skipped[0] + choices.index(choice) + 1

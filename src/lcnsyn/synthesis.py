@@ -22,14 +22,18 @@ no state feedback whatsoever can help. The verdict comes from the
 open-loop observability decision (a depth-first walk of the pair graph
 that stops at the first merge or cycle and builds no witness path),
 these pre-checks and the sweep, in that order; the per-class counts come
-last and decide nothing. Each class's number of injective choices
-(``injective_choice_count``) multiplies into the refined candidate
-bound; the product of block column counts is the naive bound. Members in
-different connected components of the member-successor graph never
-collide, so a class counts per component, in maximum cardinality search
-order, exponential only in the largest component, under a node budget
-per class: past it the count is unknown (None), and so is the refined
-bound. Each node of a count does constant work: the last member's number
+last and decide nothing. The sweep ranks every candidate but verifies
+fewer: a class whose members each have one option has one choice, and
+a class on no cycle of the class graph (an edge c -> d when two members
+of c have distinct options in d) never decides a verdict, so it stays
+at its first choice and its other choices are counted, not verified.
+Each class's number of injective choices (``injective_choice_count``)
+multiplies into the refined candidate bound; the product of block
+column counts is the naive bound. Members in different connected
+components of the member-successor graph never collide, so a class
+counts per component, in maximum cardinality search order, exponential
+only in the largest component, under a node budget per class: past it
+the count is unknown (None), and so is the refined bound. Each node of a count does constant work: the last member's number
 of free options is kept up to date as values are taken and freed.
 
 Controllability is the opposite story: feedback only ever removes
@@ -339,10 +343,10 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     size can help. The counts come last, for every outcome.
     ``candidates_checked`` is the number of candidates in sweep order up
     to and including the witness, or all of them; it is not the number of
-    closed loops verified. A state alone in its output class is in no
-    equal-output pair, so no pair walk reads its successor: the sweep
-    verifies its first option only and counts the candidates with the
-    others, which share those verdicts. A candidate cap
+    closed loops verified. An output class on no cycle of the class graph
+    (``_kernel_py._held``; a class of one state is one) never decides a
+    verdict: the sweep verifies its first choice only and counts the
+    candidates with the others, which share those verdicts. A candidate cap
     (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
     instead of guessing, with ``candidates_checked`` equal to the cap,
     and bounds the closed loops verified; a cap that is not an int (a

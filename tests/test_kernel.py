@@ -14,7 +14,7 @@ import pytest
 
 import nets
 from conftest import random_lcn
-from oracles import oracle_observable
+from oracles import oracle_observable, reach_sets
 from sweeps import (closed_loop_observable, equal_output_pairs, in_states, reference_candidates,
                     reference_sweep, scan_unsafe_pair, sweep_count_observable)
 
@@ -370,44 +370,95 @@ def count_leaf_checks(monkeypatch):
     return calls
 
 
-class TestOneStateClasses:
-    """The sweep holds a class of one state at its first option: no pair
-    walk reads that state's successor, so its other options are counted
-    into ``checked``, never checked as leaves."""
+def looped_classes(classes, succ):
+    """Per class (0-based states), whether it lies on a cycle of the class
+    graph, read off the definition: an edge c -> d when two members of c
+    have options u != v that both lie in d, and a cycle when c reaches
+    itself along one edge or more (``oracles.reach_sets``)."""
+    where = {x: c for c, cls in enumerate(classes) for x in cls}
+    graph = [sorted({where[u] for i in cls for j in cls if i != j
+                     for u in succ[i] for v in succ[j] if u != v and where[u] == where[v]})
+             for cls in classes]
+    reach = reach_sets(graph)
+    return [any(c in reach[d] for d in graph[c]) for c in range(len(classes))]
+
+
+def held_class_network(rng, i):
+    """A seeded network for the held-class sweeps: ``nets.random_network``
+    with at least half as many outputs as states, so that many classes
+    are small and lie on no cycle of the class graph. Every other draw
+    gets states 1 and 2 locked onto each other in one class, so that its
+    sweep runs to the end. In two draws of three, the members of one
+    class, every other time the last one, get constant blocks onto
+    distinct states: a class of one choice."""
+    n, m = rng.randint(3, 9), rng.randint(1, 3)
+    lcn = nets.random_network(i, n, m, rng.randint(n // 2 + 1, n))
+    lcols, hcols = list(lcn.L.col_indices), list(lcn.H.col_indices)
+    if i % 2:
+        lcols[:2 * m] = (2,) * m + (1,) * m
+        hcols[1] = hcols[0]
+    if i % 3:
+        y = max(hcols) if i % 3 == 1 else rng.choice(hcols)
+        members = [x for x, h in enumerate(hcols) if h == y]
+        for x, t in zip(members, rng.sample(range(1, n + 1), len(members))):
+            lcols[x * m:(x + 1) * m] = (t,) * m
+    return _net(tuple(lcols), tuple(hcols), m)
+
+
+class TestHeldClasses:
+    """The sweep writes each class whose members have one option each
+    into the candidate once, and holds each class on no cycle of the
+    class graph at its first choice: no cycle of equal-output pairs reads
+    its successors, so its other choices are counted into ``checked``,
+    never checked as leaves. A class of one state has no edge, and is
+    held too."""
 
     @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
     def test_matches_the_reference_sweep(self, monkeypatch, rng, bound):
         # the reference evaluates every candidate up to the witness; the
         # kernel must return the same status, rank and witness at caps
         # around the end, at the real cache bound and at one that makes
-        # most multi-state classes stream. Few random networks with a
-        # one-state class are doomed, so every other draw gets states 1
-        # and 2 locked onto each other in one class, and its sweep runs to
-        # the end
+        # most multi-state classes stream. Draws without a held class of
+        # two or more choices and without a fixed class are left out
         monkeypatch.setattr(_kernel_py, "CELL_CAP", bound)
         leaves = count_leaf_checks(monkeypatch)
         shapes = Counter()
         i = 0
         while shapes["draws"] < 1_500:
-            n, m = rng.randint(3, 9), rng.randint(1, 3)
-            lcn = nets.random_network(i, n, m, rng.randint(n // 2 + 1, n))
-            if i % 2:
-                hcols = lcn.H.col_indices
-                lcn = _net((2,) * m + (1,) * m + lcn.L.col_indices[2 * m:],
-                           hcols[:1] * 2 + hcols[2:], m)
+            lcn = held_class_network(rng, i)
             i += 1
             classes, succ = state_arguments(lcn)
-            held = [k for k, cls in enumerate(classes) if len(cls) == 1 and len(succ[cls[0]]) > 1]
-            if not held:
+            counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
+            fixed = [all(len(succ[x]) == 1 for x in cls) for cls in classes]
+            stepped = [k for k, f in enumerate(fixed) if not f]
+            looped = looped_classes(classes, succ)
+            held = [k for k, cycled in enumerate(looped)
+                    if not cycled and not fixed[k] and counts[k] > 1]
+            if not held and not any(fixed):
                 continue
             out = lcn.H.col_indices
-            counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
             _walked, sweep = kernel_in_states(lcn)
             status, checked, _found = reference_sweep(classes, succ, out)
+            # the ranks of the candidates that the sweep checks: those with
+            # every class on no cycle at its first choice
+            stay = [x for k, cycled in enumerate(looped) if not cycled for x in classes[k]]
+            first, checks = None, []
+            for rank, succ0 in enumerate(reference_candidates(classes, succ), 1):
+                if rank > checked:
+                    break
+                choice = [succ0[x] for x in stay]
+                if first is None:
+                    first = choice
+                if choice == first:
+                    checks.append(rank)
             shapes.update({"draws": 1, "found": status == _kernel_py.FOUND,
                            "exhausted": status == _kernel_py.EXHAUSTED,
-                           "held class last": held[-1] == len(classes) - 1,
+                           "held class of several states": any(len(classes[k]) > 1 for k in held),
+                           "held one-state class": any(len(classes[k]) == 1 for k in held),
+                           "held class last": bool(stepped) and stepped[-1] in held,
                            "two held classes": len(held) >= 2,
+                           "fixed class": any(fixed),
+                           "fixed class last": fixed[-1],
                            "streaming class": any(c * len(cls) > bound
                                                   for c, cls in zip(counts, classes))})
             for cap in (-1, 0, 1, checked - 1, checked, checked + 1):
@@ -416,18 +467,54 @@ class TestOneStateClasses:
                 got = sweep(cap)
                 assert got == want, (i - 1, cap)
                 assert leaves[0] <= got[1]
+                assert leaves[0] == sum(1 for rank in checks if rank <= got[1]), (i - 1, cap)
                 shapes["fewer leaf checks"] += leaves[0] < got[1]
                 shapes["cap inside a skipped block"] += (got[0] == _kernel_py.CAP_REACHED
                                                          and leaves[0] < cap)
-        for shape in ("found", "exhausted", "held class last", "two held classes",
-                      "fewer leaf checks", "cap inside a skipped block"):
+        for shape in ("found", "exhausted", "held class of several states",
+                      "held one-state class", "held class last", "two held classes",
+                      "fixed class", "fixed class last", "fewer leaf checks",
+                      "cap inside a skipped block"):
             assert shapes[shape] >= 200, shapes
         if bound == 3:
             assert shapes["streaming class"] >= 200, shapes
 
+    def test_a_class_on_no_cycle_never_changes_a_verdict(self, rng):
+        # the claim the hold rests on, checked by the brute-force oracle and
+        # not by the sweep: among the closed loops that differ only in the
+        # choice of a class on no cycle, all are observable or none is. The
+        # kernel's class graph must put the same classes on cycles as the
+        # definition does
+        groups = Counter()
+        for i in range(400):
+            n, m = rng.randint(2, 7), rng.randint(2, 3)
+            lcn = nets.random_network(i, n, m, rng.randint(1 + n // 3, n))
+            classes, succ = state_arguments(lcn)
+            problem = _Problem(lcn)
+            looped = looped_classes(classes, succ)
+            spans = list(zip(problem.ends, problem.ends[1:]))
+            assert [h is None for h in _kernel_py._held(problem.succ, problem.ends, spans,
+                                                         [0] * n)] == looped
+            held = [k for k, cycled in enumerate(looped) if not cycled]
+            verdicts = {}  # (held class, the other classes' choices) -> the verdicts
+            for succ0 in reference_candidates(classes, succ):
+                closed = Lcn(n, 1, lcn.output_dim, LogicalMatrix(n, tuple(s + 1 for s in succ0)),
+                             lcn.H)
+                observable = oracle_observable(closed)
+                for k in held:
+                    rest = tuple(succ0[x] for c, cls in enumerate(classes) if c != k for x in cls)
+                    verdicts.setdefault((k, rest), []).append(observable)
+            for (k, _rest), seen in verdicts.items():
+                assert len(set(seen)) == 1, (i, k)
+                if len(seen) > 1:
+                    groups["observable" if seen[0] else "unobservable"] += 1
+                    groups["several states"] += len(classes[k]) > 1
+        assert min(groups.values()) >= 1_000, groups
+
     def test_exhaustive_pin_takes_a_third_of_the_leaf_checks(self, monkeypatch):
-        # the synth-exhaustive pool's pinned network: a one-state class
-        # with three options, so two thirds of its candidates are counted
+        # the synth-exhaustive pool's pinned network: its one held class is
+        # a one-state class with three options, so two thirds of its
+        # candidates are counted
         leaves = count_leaf_checks(monkeypatch)
         args = sweep_arguments(nets.random_network(146863, 14, 3, 5))
         assert _kernel_py.sweep_first_observable(*args) == (_kernel_py.EXHAUSTED, 129_792, None)
