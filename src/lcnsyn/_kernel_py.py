@@ -207,7 +207,7 @@ def candidates(succ, ends):
     if spans is None:
         return
     last = _last_slice(spans, len(succ))
-    for choices in _walk(succ, ends, spans, succ0, None):
+    for choices in _walk(succ, ends, spans, succ0):
         for choice in choices:
             succ0[last] = choice
             yield succ0
@@ -223,16 +223,12 @@ def _spans(succ, ends, succ0):
     and left out of the walk; so is every such class but the last when all
     classes are like that, as the walk steps at least one class.
     """
-    spans = [(a, b) for a, b in zip(ends, ends[1:]) if len(succ[a]) > 1]
-    if len(spans) == len(ends) - 1:  # no class is fixed: each first member has a choice
-        return spans
     spans = []
     for a, b in zip(ends, ends[1:]):
-        group = succ[a:b]
-        if sum(map(len, group)) > b - a:  # some member has two options or more
+        if len(succ[a]) > 1 or sum(map(len, succ[a:b])) > b - a:  # a member has two options
             spans.append((a, b))
             continue
-        only = [s[0] for s in group]
+        only = [s[0] for s in succ[a:b]]
         if len(set(only)) < b - a:
             return None
         succ0[a:b] = only
@@ -245,21 +241,6 @@ def _last_slice(spans, n):
     without a stop assigns faster."""
     a, b = spans[-1]
     return slice(a, None if b == n else b)
-
-
-def _self_edge(succ, a, b) -> bool:
-    """Whether two members of the class at positions a to b - 1 have
-    options u != v that both lie in the class: its edge to itself in the
-    class graph (``_held``)."""
-    positions, values, members = set(range(a, b)), set(), 0
-    for options in succ[a:b]:
-        inside = positions.intersection(options)
-        if inside:
-            members += 1
-            values |= inside
-            if members > 1 and len(values) > 1:
-                return True
-    return False
 
 
 def _held(succ, ends, spans, succ0):
@@ -294,9 +275,9 @@ def _held(succ, ends, spans, succ0):
     return [None if looped[where[a]] else succ0[a:b] for a, b in spans]
 
 
-def _walk(succ, ends, spans, succ0, skipped):
+def _walk(succ, ends, spans, succ0, passed=None, cap=-1):
     """Walk the candidate space in sweep order, as ``candidates`` yields
-    it; with a list ``skipped``, hold each class on no cycle of the class
+    it; with a list ``passed``, hold each class on no cycle of the class
     graph at its first choice, as the sweep walks it.
 
     The walk steps the classes of ``spans`` (``_spans``, which has written
@@ -326,23 +307,22 @@ def _walk(succ, ends, spans, succ0, skipped):
     class k's choices once its latest walk is complete, whether it keeps
     a row or streams.
 
-    Before the walk first steps back past the last class, every class
-    stands at its first choice, and holding changes nothing but the
-    last class's later choices. So when the caller asks for a second
-    candidate, the sweep asks only whether the last class has an edge to
-    itself (``_self_edge``), which puts it on a cycle; it finds the held
-    classes (``_held``) then only when it has none, and otherwise at that
-    first step back. So a witness among the last class's first choices
-    costs no class graph when that class has an edge to itself, nor does
-    a first candidate that is the witness. A held class takes its first
-    choice on every entry. When the walk steps back past it, every later
-    class has just been walked in full, so the candidates passed over,
-    its other choices times the later classes' choices, are known and
-    are added to ``skipped[0]``: the rank of a candidate is the number of
-    candidates handed out so far, itself included, plus ``skipped[0]``. A
-    held class's own count comes from a walk of the class to its end that
-    hands nothing out, the first time the walk steps back past it (a held
-    last class: at once).
+    ``passed[0]`` is the number of candidates passed so far: the caller
+    adds each row's length once it is through with the row, before it
+    asks for the next, and the walk adds the candidates it skips. Before
+    the caller asks for a second candidate, every class stands at its
+    first choice, and holding changes nothing; so the walk finds the held
+    classes (``_held``) only then, and a first candidate that is the
+    witness costs no class graph. A held class takes its first choice on
+    every entry. When the walk steps back past it, every later class has
+    just been walked in full, so the candidates passed over, its other
+    choices times the later classes' choices, are known and are added to
+    ``passed[0]``. A held class's own count comes from a walk of the class
+    to its end that keeps no row and hands nothing out, the first time
+    the walk steps back past it (a held last class: at once). With
+    ``cap >= 0``, that walk ends the whole walk as soon as its count takes
+    ``passed[0]`` past ``cap``, so a capped sweep never walks the many
+    choices of a held class far past its cap.
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -359,9 +339,7 @@ def _walk(succ, ends, spans, succ0, skipped):
     counts = [0] * (last + 1)  # per class, its choices, once its latest walk is complete
     held = [None] * (last + 1)  # per class, its first choice if the sweep holds it
     known = [False] * (last + 1)  # per held class, whether counts[k] is final
-    # whether the sweep's held classes are still to be found: 2 before the second
-    # candidate, 1 after it when the last class has an edge to itself, 0 once found
-    pending = 0 if skipped is None else 2
+    pending = passed is not None  # whether the sweep's held classes are still to be found
     cells, k, fresh = 0, 0, True
     while k >= 0:
         a, b = spans[k]
@@ -387,7 +365,7 @@ def _walk(succ, ends, spans, succ0, skipped):
                     continue
                 yield (held[k],)
             if known[k]:
-                skipped[0] += (counts[k] - 1) * prod(counts[k + 1:])
+                passed[0] += (counts[k] - 1) * prod(counts[k + 1:])
                 k, fresh = k - 1, False
                 continue
             # its count is not known yet: the walk below finishes the class
@@ -397,7 +375,11 @@ def _walk(succ, ends, spans, succ0, skipped):
             # rebuilt, so that no class waiting for a later one holds a set
             p, taken = b - 1, set(succ0[a:b - 1])
         row, dead, entered = rows[k], 0, fresh  # dead ends since the last choice
-        quiet = held[k] is not None  # count the choices, hand none out
+        quiet = held[k] is not None  # from its first choice on: count, keep no row
+        if quiet:  # it has walked its first choice alone, which its row may hold
+            later, counts[k] = prod(counts[k + 1:]), 1
+            if row is not None:
+                cells, row, rows[k] = cells - (b - a), None, None
         while True:
             for v in its[p]:
                 if v not in taken:
@@ -435,23 +417,24 @@ def _walk(succ, ends, spans, succ0, skipped):
             else:
                 counts[k] += 1
             if quiet:
+                if 0 <= cap < passed[0] + (counts[k] - 1) * later:
+                    passed[0] += (counts[k] - 1) * later
+                    return
                 continue
             if k < last:
                 break
             yield (succ0[a:b],)
-            if pending == 2:  # the caller asks for a second candidate
-                if _self_edge(succ, a, b):
-                    pending = 1
-                else:
-                    held, pending = _held(succ, ends, spans, succ0), 0
-                    quiet = held[k] is not None
+            if pending:  # the caller asks for a second candidate
+                held, pending = _held(succ, ends, spans, succ0), False
+                if held[k] is not None:  # count its other choices, keep no row
+                    quiet, later, counts[k] = True, 1, 1
+                    if row is not None:
+                        cells, row, rows[k] = cells - (b - a), None, None
         if p < a:  # the class is exhausted
             if row is not None:
                 if not row:
                     return
                 counts[k] = len(row)
-            if pending:  # the first step back past the last class
-                held, pending = _held(succ, ends, spans, succ0), 0
             if held[k] is None:
                 done[k] = row is not None
                 k -= 1
@@ -484,28 +467,26 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     out = []  # each position's class index
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
-    skipped = [0]  # the candidates passed over, each as doomed as its evaluated twin
-    evaluated, hint, capped = 0, None, False
+    passed = [0]  # the candidates evaluated or skipped, each skipped one as doomed as its twin
+    hint, capped = None, False
     succ0 = [0] * len(succ)
     spans = _spans(succ, ends, succ0)
     if spans is None:
         return EXHAUSTED, 0, None
     last = _last_slice(spans, len(succ))
-    for choices in _walk(succ, ends, spans, succ0, skipped):
-        # the walk adds to skipped[0] only between rows, so this row's
-        # candidates have the ranks evaluated + skipped[0] + 1, + 2, ...
-        if 0 <= cap < evaluated + skipped[0] + len(choices):  # evaluate up to rank cap
-            choices, capped = choices[:max(cap - evaluated - skipped[0], 0)], True
+    for choices in _walk(succ, ends, spans, succ0, passed, cap):
+        # the walk adds to passed[0] only between rows, so this row's
+        # candidates have the ranks passed[0] + 1, + 2, ...
+        if 0 <= cap < passed[0] + len(choices):  # evaluate up to rank cap
+            choices, capped = choices[:max(cap - passed[0], 0)], True
         for choice in choices:
             succ0[last] = choice
             hint = _unsafe_pair(succ0, out, hint)
             if hint is None:
-                rank = evaluated + skipped[0] + choices.index(choice) + 1
-                return FOUND, rank, tuple(succ0)
+                return FOUND, passed[0] + choices.index(choice) + 1, tuple(succ0)
         if capped:
             return CAP_REACHED, cap, None
-        evaluated += len(choices)
-    checked = evaluated + skipped[0]
-    if 0 <= cap < checked:
+        passed[0] += len(choices)
+    if 0 <= cap < passed[0]:
         return CAP_REACHED, cap, None
-    return EXHAUSTED, checked, None
+    return EXHAUSTED, passed[0], None

@@ -511,6 +511,34 @@ class TestHeldClasses:
                     groups["several states"] += len(classes[k]) > 1
         assert min(groups.values()) >= 1_000, groups
 
+    @pytest.mark.parametrize("after", [0, 2])
+    def test_a_capped_sweep_stops_counting_a_held_class(self, after):
+        # a held class of k states, each offered the k states of a class
+        # that maps onto itself, so every candidate is doomed; with no class
+        # after it, or a looped class of two choices: the sweep learns the
+        # held class's k! choices by walking them, and at a small cap it
+        # must stop that walk near the cap instead of walking them all
+        entered = [0]  # option lists walked
+
+        class Options(list):
+            def __iter__(self):
+                entered[0] += 1
+                return super().__iter__()
+
+        def arguments(k):
+            tail = list(range(2 * k, 2 * k + after))
+            succ = ([Options(range(k, 2 * k)) for _ in range(k)]
+                    + [Options([p]) for p in range(k, 2 * k)] + [Options(tail) for _ in tail])
+            return succ, [0, k, 2 * k] + [2 * k + after] * bool(after)
+
+        total = 120 * max(after, 1)  # 5! choices of the held class, times the tail's
+        assert _kernel_py.sweep_first_observable(*arguments(5)) == (_kernel_py.EXHAUSTED, total,
+                                                                    None)
+        entered[0] = 0
+        assert _kernel_py.sweep_first_observable(*arguments(9), 5) == (_kernel_py.CAP_REACHED, 5,
+                                                                       None)
+        assert entered[0] < 100  # of 9! = 362 880 choices
+
     def test_exhaustive_pin_takes_a_third_of_the_leaf_checks(self, monkeypatch):
         # the synth-exhaustive pool's pinned network: its one held class is
         # a one-state class with three options, so two thirds of its
