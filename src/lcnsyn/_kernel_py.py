@@ -27,27 +27,29 @@ assignment and no resume of the walk. ``candidates`` is the one
 definition of the order, and ``synthesis.enumerate_candidates`` yields
 all of it.
 
-The sweep walks the same order, but holds each class that lies on no
-cycle of the class graph at its first choice. That graph has an edge
-c -> d when two members of c have options u != v that both lie in d. A
-closed loop is unobservable exactly when it has two distinct equivalent
-states. They have equal outputs, so they lie in one class, and since a
-candidate gives equal-output positions distinct successors, their
-successors are again two distinct equivalent states, along an edge of
-the class graph. Their walk repeats a pair at last, so some cycle of
-pairs, all in classes on cycles, dooms the closed loop, and it reads
-only those classes' successors. A held class's other choices therefore
-give every choice of the later classes the verdict that its first
-choice gave, and the sweep counts those candidates instead of checking
-them: stepping back past the class adds its other choices times the
-later classes' numbers of choices, which the walk knows, as it has just
-walked each of them in full. A one-state class has no edge at all, and
-is the simplest held class. So the sweep's ``checked`` is the rank in
-the full order, the number of candidates up to and including the
-witness, or all of them; it is not the number of leaf checks, which can
-be much lower. The first witness, if any, has every held class at its
-first choice, as that candidate ranks no later and has the same
-verdict.
+The sweep checks the first candidate alone. If it is doomed, the sweep
+holds each class that lies on no cycle of the class graph at its first
+choice. That graph has an edge c -> d when two members of c have
+options u != v that both lie in d. A closed loop is unobservable
+exactly when it has two distinct equivalent states. They have equal
+outputs, so they lie in one class, and since a candidate gives
+equal-output positions distinct successors, their successors are again
+two distinct equivalent states, along an edge of the class graph. Their
+walk repeats a pair at last, so some cycle of pairs, all in classes on
+cycles, dooms the closed loop, and it reads only those classes'
+successors. A held class's other choices therefore give every choice of
+the other classes the verdict that its first choice gave. So a held
+class stands in the candidate like a class of one choice, and the
+odometer steps the looped classes only: the last of them hands out its
+list whole even when held classes follow it. A one-state class has no
+edge at all, and is the simplest held class. The sweep's ``checked`` is
+still the rank in the full order, the number of candidates up to and
+including the witness, or all of them, read off the odometer's digits
+as a mixed-radix number whose radices are the classes' numbers of
+choices, a held class's digit being 0; it is not the number of leaf
+checks, which can be much lower. The first witness, if any, has every
+held class at its first choice, as that candidate ranks no later and
+has the same verdict.
 
 A class's walk can thrash: an early position takes a value that a much
 later position of the same class needs, and the walk tries every choice
@@ -207,7 +209,7 @@ def candidates(succ, ends):
     if spans is None:
         return
     last = _last_slice(spans, len(succ))
-    for choices in _walk(succ, ends, spans, succ0):
+    for choices in _walk(succ, spans, succ0):
         for choice in choices:
             succ0[last] = choice
             yield succ0
@@ -275,25 +277,26 @@ def _held(succ, ends, spans, succ0):
     return [None if looped[where[a]] else succ0[a:b] for a, b in spans]
 
 
-def _walk(succ, ends, spans, succ0, passed=None, cap=-1):
-    """Walk the candidate space in sweep order, as ``candidates`` yields
-    it; with a list ``passed``, hold each class on no cycle of the class
-    graph at its first choice, as the sweep walks it.
+def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
+    """Walk the candidate space in sweep order, as ``candidates`` yields it.
 
-    The walk steps the classes of ``spans`` (``_spans``, which has written
-    every other class's one choice into ``succ0``), fills ``succ0`` (one
-    cell per position) and yields the last span's choices in order: with
-    each of them put at ``succ0[a:b]`` in turn, where ``(a, b)`` is the
-    last span, ``succ0`` is the next candidate. Every earlier class stands
-    in ``succ0`` until the caller asks for more. A last class that keeps a
-    row yields it whole; otherwise each choice comes alone, in a tuple of
-    one.
+    The walk steps the classes of ``spans``; every other class stands in
+    ``succ0`` already (``_spans`` writes a class of one choice there, and
+    the sweep a held class). It fills ``succ0`` (one cell per position)
+    and yields the last span's choices in order: with each of them put at
+    ``succ0[a:b]`` in turn, where ``(a, b)`` is the last span, ``succ0`` is
+    the next candidate. Every earlier class stands in ``succ0`` until the
+    caller asks for more. A last class that keeps a row yields it whole;
+    otherwise each choice comes alone, in a tuple of one.
 
     The walk is a mixed-radix odometer over the classes, the last class
     fastest (Knuth, TAOCP 4A, 7.2.1.1). Used values are per class, so a
     class's choices never depend on another class's, and the product of
     the classes' choices, each in lexicographic order, is the candidate
-    order.
+    order. ``index[k]`` is the odometer's digit for class k: the place of
+    the class's choice in ``succ0`` among its choices, and for the last
+    class that of the first choice it yields. ``counts[k]`` is the number
+    of class k's choices once the walk has gone through the class in full.
 
     A class's choices are found once, by a walk over its positions on a
     stack of option iterators and one set of used values (its last
@@ -302,27 +305,9 @@ def _walk(succ, ends, spans, succ0, passed=None, cap=-1):
     list, so a leaf costs one slice assignment. The rows of all classes
     together hold at most ``CELL_CAP`` cells (one per position per
     choice): a class that would pass that drops its row and walks its
-    positions afresh on every entry. A class with no choice ends the
-    walk, as the product is then empty. ``counts[k]`` is the number of
-    class k's choices once its latest walk is complete, whether it keeps
-    a row or streams.
-
-    ``passed[0]`` is the number of candidates passed so far: the caller
-    adds each row's length once it is through with the row, before it
-    asks for the next, and the walk adds the candidates it skips. Before
-    the caller asks for a second candidate, every class stands at its
-    first choice, and holding changes nothing; so the walk finds the held
-    classes (``_held``) only then, and a first candidate that is the
-    witness costs no class graph. A held class takes its first choice on
-    every entry. When the walk steps back past it, every later class has
-    just been walked in full, so the candidates passed over, its other
-    choices times the later classes' choices, are known and are added to
-    ``passed[0]``. A held class's own count comes from a walk of the class
-    to its end that keeps no row and hands nothing out, the first time
-    the walk steps back past it (a held last class: at once). With
-    ``cap >= 0``, that walk ends the whole walk as soon as its count takes
-    ``passed[0]`` past ``cap``, so a capped sweep never walks the many
-    choices of a held class far past its cap.
+    positions afresh on every entry, and with ``keep`` false every class
+    does. A class with no choice ends the walk, as the product is then
+    empty.
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -332,54 +317,33 @@ def _walk(succ, ends, spans, succ0, passed=None, cap=-1):
     below such a prefix, so the yield order is unchanged.
     """
     n, last = len(succ), len(spans) - 1
+    index = [0] * (last + 1) if index is None else index
+    counts = [0] * (last + 1) if counts is None else counts
     its = [None] * n  # per position of a walking class, its option iterator
-    rows = [[] for _ in spans]  # per class, its choices so far; None once it streams
+    rows = [[] if keep else None for _ in spans]  # per class, its choices so far; None: it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
-    cursor = [None] * (last + 1)  # per done class, an iterator over its row
-    counts = [0] * (last + 1)  # per class, its choices, once its latest walk is complete
-    held = [None] * (last + 1)  # per class, its first choice if the sweep holds it
-    known = [False] * (last + 1)  # per held class, whether counts[k] is final
-    pending = passed is not None  # whether the sweep's held classes are still to be found
     cells, k, fresh = 0, 0, True
     while k >= 0:
         a, b = spans[k]
-        if done[k]:  # never a held class: no class is done when they are found
+        if done[k]:
             if k == last:
+                index[k] = 0
                 yield rows[k]
                 k, fresh = k - 1, False
                 continue
-            if fresh:
-                cursor[k] = iter(rows[k])
-            choice = next(cursor[k], None)
-            if choice is None:
+            i = index[k] = 0 if fresh else index[k] + 1
+            if i == counts[k]:
                 k, fresh = k - 1, False
             else:
-                succ0[a:b] = choice
+                succ0[a:b] = rows[k][i]
                 k, fresh = k + 1, True
             continue
-        if held[k] is not None:  # at its first choice; the candidates with another are counted
-            if fresh:
-                succ0[a:b] = held[k]
-                if k < last:
-                    k += 1
-                    continue
-                yield (held[k],)
-            if known[k]:
-                passed[0] += (counts[k] - 1) * prod(counts[k + 1:])
-                k, fresh = k - 1, False
-                continue
-            # its count is not known yet: the walk below finishes the class
         if fresh:
-            p, its[a], taken, counts[k] = a, iter(succ[a]), set(), 0
+            p, its[a], taken, index[k] = a, iter(succ[a]), set(), -1
         else:  # resume at the class's last position; its used values are
             # rebuilt, so that no class waiting for a later one holds a set
             p, taken = b - 1, set(succ0[a:b - 1])
         row, dead, entered = rows[k], 0, fresh  # dead ends since the last choice
-        quiet = held[k] is not None  # from its first choice on: count, keep no row
-        if quiet:  # it has walked its first choice alone, which its row may hold
-            later, counts[k] = prod(counts[k + 1:]), 1
-            if row is not None:
-                cells, row, rows[k] = cells - (b - a), None, None
         while True:
             for v in its[p]:
                 if v not in taken:
@@ -408,41 +372,35 @@ def _walk(succ, ends, spans, succ0, passed=None, cap=-1):
                 entered = True
                 continue
             dead, entered = 0, False
-            if row is not None:  # a new choice of the class
+            index[k] += 1  # a new choice of the class
+            if row is not None:
                 row.append(succ0[a:b])
                 cells += b - a
                 if cells > CELL_CAP:
                     cells -= len(row) * (b - a)
-                    counts[k], rows[k], row = len(row), None, None
-            else:
-                counts[k] += 1
-            if quiet:
-                if 0 <= cap < passed[0] + (counts[k] - 1) * later:
-                    passed[0] += (counts[k] - 1) * later
-                    return
-                continue
+                    rows[k] = row = None
             if k < last:
                 break
             yield (succ0[a:b],)
-            if pending:  # the caller asks for a second candidate
-                held, pending = _held(succ, ends, spans, succ0), False
-                if held[k] is not None:  # count its other choices, keep no row
-                    quiet, later, counts[k] = True, 1, 1
-                    if row is not None:
-                        cells, row, rows[k] = cells - (b - a), None, None
         if p < a:  # the class is exhausted
-            if row is not None:
-                if not row:
-                    return
-                counts[k] = len(row)
-            if held[k] is None:
-                done[k] = row is not None
-                k -= 1
-            else:
-                known[k] = True  # the loop's top counts its skip
-            fresh = False
+            counts[k] = index[k] + 1
+            if not counts[k]:
+                return
+            done[k] = row is not None
+            k, fresh = k - 1, False
         else:
             k, fresh = k + 1, True
+
+
+def _count(succ, span, stop):
+    """The number of choices of the class at ``span``, by a walk of the
+    class alone that keeps no row; with ``stop >= 0`` the walk ends as
+    soon as the number passes ``stop``, and returns ``stop + 1``."""
+    count = 0
+    for count, _ in enumerate(_walk(succ, [span], [0] * len(succ), keep=False), 1):
+        if count > stop >= 0:
+            break
+    return count
 
 
 def sweep_first_observable(succ, ends, cap: int = -1):
@@ -458,35 +416,77 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     total when there is no witness, passes ``cap``, and so evaluates at
     most ``cap`` candidates.
 
-    A class on no cycle of the class graph is held at its first choice
-    (``_walk``): no cycle of equal-output pairs reads its successors, so
-    each of its other choices gives every later choice the verdict that
-    the first choice gave it. Those candidates are counted, not
-    evaluated, and the first witness, if any, has the first choice there.
+    The first candidate is checked alone. If it is doomed, each class on
+    no cycle of the class graph (``_held``) stays at its first choice, as
+    a class of one choice does: no cycle of equal-output pairs reads its
+    successors, so each of its other choices gives every choice of the
+    other classes the verdict that the first choice gave it. ``_walk``
+    steps the looped classes only, and the rank is read off its digits:
+    ``1 + sum(index[k] * W[k])`` over every class, where ``W[k]`` is the
+    product of the numbers of choices of the classes after k, and a held
+    class's digit is 0. A looped class's number is known by the time an
+    earlier digit moves, as the odometer has then gone through the class;
+    a held class's is counted by ``_count`` when a rank first needs it,
+    and no further than the cap. EXHAUSTED reports the product of all.
     """
     out = []  # each position's class index
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
-    passed = [0]  # the candidates evaluated or skipped, each skipped one as doomed as its twin
-    hint, capped = None, False
     succ0 = [0] * len(succ)
     spans = _spans(succ, ends, succ0)
     if spans is None:
         return EXHAUSTED, 0, None
-    last = _last_slice(spans, len(succ))
-    for choices in _walk(succ, ends, spans, succ0, passed, cap):
-        # the walk adds to passed[0] only between rows, so this row's
-        # candidates have the ranks passed[0] + 1, + 2, ...
-        if 0 <= cap < passed[0] + len(choices):  # evaluate up to rank cap
-            choices, capped = choices[:max(cap - passed[0], 0)], True
+    index, counts = [0] * len(spans), [0] * len(spans)
+    walk = _walk(succ, spans, succ0, index, counts)
+    if next(walk, None) is None:
+        return EXHAUSTED, 0, None  # no candidate
+    if cap == 0:
+        return CAP_REACHED, 0, None
+    hint = _unsafe_pair(succ0, out, None)  # the first candidate, which now stands in succ0
+    if hint is None:
+        return FOUND, 1, tuple(succ0)
+    loop, gaps = [], [[]]  # the looped classes; the held ones before each, then after the last
+    for span, held in zip(spans, _held(succ, ends, spans, succ0)):
+        if held is None:
+            loop.append(span)
+            gaps.append([])
+        else:
+            gaps[-1].append(span)
+    weights = [None] * len(gaps)
+
+    def weight(i):  # gap i's held classes' number of choices, past cap once it passes it
+        if weights[i] is None:
+            weights[i] = 1
+            for span in gaps[i]:
+                weights[i] *= _count(succ, span, cap // weights[i])
+        return weights[i]
+
+    def position():  # (r, t): choice j of the row just handed out ranks 1 + (r + j) * t
+        r = 0
+        for i, digit in enumerate(index):
+            r = r * counts[i] * weight(i) + digit if r else digit
+        return r, weight(len(loop))
+
+    if len(loop) < len(spans):  # step the looped classes only, from the first candidate again
+        index, counts = index[:len(loop)], counts[:len(loop)]
+        walk = _walk(succ, loop, succ0, index, counts) if loop else iter(())
+        next(walk, None)
+    last, capped = _last_slice(loop, len(succ)) if loop else None, False
+    for choices in walk:
+        if cap >= 0:
+            r, t = position()
+            keep = (cap - 1) // t - r + 1  # the choices ranked up to cap
+            if keep < len(choices):
+                choices, capped = choices[:max(keep, 0)], True
         for choice in choices:
             succ0[last] = choice
             hint = _unsafe_pair(succ0, out, hint)
             if hint is None:
-                return FOUND, passed[0] + choices.index(choice) + 1, tuple(succ0)
+                r, t = position()
+                return FOUND, 1 + (r + choices.index(choice)) * t, tuple(succ0)
         if capped:
             return CAP_REACHED, cap, None
-        passed[0] += len(choices)
-    if 0 <= cap < passed[0]:
+    total = prod(counts) * prod(map(weight, range(len(gaps))))
+    if 0 <= cap < total:
         return CAP_REACHED, cap, None
-    return EXHAUSTED, passed[0], None
+    return EXHAUSTED, total, None

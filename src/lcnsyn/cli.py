@@ -114,10 +114,6 @@ def cmd_apply_feedback(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    if args.max_candidates is not None and args.max_candidates < 0:
-        print(f"error: --max-candidates must be non-negative, got {args.max_candidates}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
     lcn = files.load_network(args.network)
     report = synthesize_observability(lcn, max_candidates=args.max_candidates)
     doc = {
@@ -223,6 +219,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             values[name] = int(value) if kind is int else value
         except ValueError:
             raise _Stop(command, f"{name}: invalid int value {value!r}") from None
+        if kind is int and values[name] < 0:
+            raise _Stop(command, f"{name} must be non-negative, got {values[name]}")
     missing = [*positionals[len(given):], *(name for name, kind in options.items()
                                             if kind is REQUIRED and values[name] is None)]
     if missing:

@@ -26,7 +26,8 @@ last and decide nothing. The sweep ranks every candidate but verifies
 fewer: a class whose members each have one option has one choice, and
 a class on no cycle of the class graph (an edge c -> d when two members
 of c have distinct options in d) never decides a verdict, so it stays
-at its first choice and its other choices are counted, not verified.
+at its first choice, like a class of one choice, and the rank counts
+its other choices as a mixed-radix number over the classes' counts.
 Each class's number of injective choices (``injective_choice_count``)
 multiplies into the refined candidate bound; the product of block
 column counts is the naive bound. Members in different connected
@@ -345,8 +346,11 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     to and including the witness, or all of them; it is not the number of
     closed loops verified. An output class on no cycle of the class graph
     (``_kernel_py._held``; a class of one state is one) never decides a
-    verdict: the sweep verifies its first choice only and counts the
-    candidates with the others, which share those verdicts. A candidate cap
+    verdict: the sweep verifies its first choice only, and reads the rank
+    off the classes' numbers of choices as a mixed-radix number, so it
+    counts the candidates with the others, which share those verdicts.
+    The sweep learns those numbers itself and never calls
+    ``injective_choice_count``. A candidate cap
     (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
     instead of guessing, with ``candidates_checked`` equal to the cap,
     and bounds the closed loops verified; a cap that is not an int (a

@@ -218,6 +218,8 @@ class TestSynthesize:
         assert code == 2
         assert out == ""
         assert "--max-candidates must be non-negative" in err
+        assert err.startswith("usage: lcnsyn synthesize network")
+        assert "lcnsyn: error: --max-candidates must be non-negative, got -5" in err
 
 
 class TestBounds:

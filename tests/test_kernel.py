@@ -9,6 +9,7 @@ import importlib
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -390,7 +391,11 @@ def held_class_network(rng, i):
     gets states 1 and 2 locked onto each other in one class, so that its
     sweep runs to the end. In two draws of three, the members of one
     class, every other time the last one, get constant blocks onto
-    distinct states: a class of one choice."""
+    distinct states: a class of one choice. Past three states, those
+    locked draws then put states 1 and 2 in the first class and states
+    N - 1 and N in the last or a middle one, each pair offered only its
+    own two states: two classes on cycles, which the sweep steps when
+    there are two inputs or more, with the classes between them held."""
     n, m = rng.randint(3, 9), rng.randint(1, 3)
     lcn = nets.random_network(i, n, m, rng.randint(n // 2 + 1, n))
     lcols, hcols = list(lcn.L.col_indices), list(lcn.H.col_indices)
@@ -402,6 +407,11 @@ def held_class_network(rng, i):
         members = [x for x, h in enumerate(hcols) if h == y]
         for x, t in zip(members, rng.sample(range(1, n + 1), len(members))):
             lcols[x * m:(x + 1) * m] = (t,) * m
+    if i % 2 and n > 3:
+        low, high = min(hcols), max(hcols) if i % 4 == 3 else sorted(hcols)[(n + 1) // 2]
+        for x, partner, h in ((1, 2, low), (2, 1, low), (n - 1, n, high), (n, n - 1, high)):
+            lcols[(x - 1) * m:x * m] = [(x, partner)[j % 2] for j in range(m)]
+            hcols[x - 1] = h
     return _net(tuple(lcols), tuple(hcols), m)
 
 
@@ -434,6 +444,7 @@ class TestHeldClasses:
             looped = looped_classes(classes, succ)
             held = [k for k, cycled in enumerate(looped)
                     if not cycled and not fixed[k] and counts[k] > 1]
+            odometer = [k for k in stepped if looped[k]]  # the classes the sweep steps
             if not held and not any(fixed):
                 continue
             out = lcn.H.col_indices
@@ -456,6 +467,11 @@ class TestHeldClasses:
                            "held class of several states": any(len(classes[k]) > 1 for k in held),
                            "held one-state class": any(len(classes[k]) == 1 for k in held),
                            "held class last": bool(stepped) and stepped[-1] in held,
+                           "held class after the last looped class":
+                               bool(odometer) and max(held, default=-1) > odometer[-1],
+                           "held class between two looped classes":
+                               len(odometer) > 1
+                               and any(odometer[0] < k < odometer[-1] for k in held),
                            "two held classes": len(held) >= 2,
                            "fixed class": any(fixed),
                            "fixed class last": fixed[-1],
@@ -473,6 +489,8 @@ class TestHeldClasses:
                                                          and leaves[0] < cap)
         for shape in ("found", "exhausted", "held class of several states",
                       "held one-state class", "held class last", "two held classes",
+                      "held class after the last looped class",
+                      "held class between two looped classes",
                       "fixed class", "fixed class last", "fewer leaf checks",
                       "cap inside a skipped block"):
             assert shapes[shape] >= 200, shapes
@@ -510,6 +528,64 @@ class TestHeldClasses:
                     groups["observable" if seen[0] else "unobservable"] += 1
                     groups["several states"] += len(classes[k]) > 1
         assert min(groups.values()) >= 1_000, groups
+
+    def test_the_rank_is_the_mixed_radix_position(self, rng):
+        # the rank the sweep returns, read off the class counts: the
+        # witness's choice in each class (in lexicographic order) is a digit
+        # and ``injective_choice_count`` of each later class a radix, and an
+        # exhausted sweep reports the product of the counts
+        seen = Counter()
+        for i in range(1_500):
+            if i % 2:
+                lcn = held_class_network(rng, i)
+            else:  # states 1 and 2 alone in the first class, its first choice swapping them:
+                # each candidate with that choice is doomed, and a witness lies past it
+                n, m = rng.randint(4, 8), rng.randint(2, 3)
+                lcn = nets.random_network(i, n, m, rng.randint(n // 2 + 1, n))
+                lcols = [(2, 3)[j % 2] for j in range(m)] + [(1, 4)[j % 2] for j in range(m)]
+                lcn = _net((*lcols, *lcn.L.col_indices[2 * m:]),
+                           (1, 1, *(h + 1 for h in lcn.H.col_indices[2:])), m)
+            classes, succ = state_arguments(lcn)
+            choices = [[c for c in product(*(succ[x] for x in cls)) if len(set(c)) == len(c)]
+                       for cls in classes]
+            counts = [injective_choice_count([succ[x] for x in cls]) for cls in classes]
+            assert counts == [len(c) for c in choices]
+            want = reference_sweep(classes, succ, lcn.H.col_indices)
+            status, checked, found = kernel_in_states(lcn)[1](-1)
+            assert (status, checked, found) == want, i
+            if status == _kernel_py.FOUND:
+                rank = 0
+                for cls, options, count in zip(classes, choices, counts):
+                    rank = rank * count + options.index(tuple(found[x] for x in cls))
+                assert checked == rank + 1, i
+                seen["past the first row"] += rank >= len(choices[-1])
+            else:
+                assert checked == prod(counts), i
+            seen[status] += 1
+        assert min(seen[_kernel_py.FOUND], seen[_kernel_py.EXHAUSTED],
+                   seen["past the first row"]) >= 200, seen
+
+    def test_a_held_class_after_the_looped_ones_takes_their_rows_whole(self, monkeypatch):
+        # two classes of three states, each offered its own three states,
+        # then a held class of two states offered the second class's: the
+        # walk that steps the looped classes hands the second one's six
+        # choices out one at a time on its first pass and as one row after
+        # each later choice of the first, not once per candidate
+        resumes = [0]
+        walk = _kernel_py._walk
+
+        def counted(*args, keep=True):
+            for choices in walk(*args, keep=keep):
+                resumes[0] += keep  # the counting walks keep no rows
+                yield choices
+
+        monkeypatch.setattr(_kernel_py, "_walk", counted)
+        leaves = count_leaf_checks(monkeypatch)
+        succ = [[0, 1, 2]] * 3 + [[3, 4, 5]] * 5
+        assert _kernel_py.sweep_first_observable(succ, [0, 3, 6, 8]) == (_kernel_py.EXHAUSTED,
+                                                                          216, None)
+        assert leaves[0] == 36  # 6 x 6 candidates, the held class at its first choice
+        assert resumes[0] == 1 + 6 + 5  # the first candidate, then the looped classes' walk
 
     @pytest.mark.parametrize("after", [0, 2])
     def test_a_capped_sweep_stops_counting_a_held_class(self, after):
