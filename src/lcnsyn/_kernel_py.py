@@ -14,42 +14,41 @@ values, each compared by its place in ``succ[p]`` (the order of the
 states they stand for), class by class. Used values are per
 class, so the candidates are the product of the classes' choices, and
 ``candidates`` steps that product as an odometer, the last class
-fastest. A class whose members each have one option has one choice at
-most; it is written into the candidate once, before the walk starts,
-and the odometer never enters it. The odometer finds each other class's
-choices once, by a walk over the class's positions on a stack of option
-iterators, and keeps them in a list, so most candidates cost one slice
-assignment; the lists of all classes together hold at most ``CELL_CAP``
-cells, and a class that would pass that walks its positions afresh on
-every entry. The odometer hands the last class it steps to its caller
-whole, a list at a time, so a candidate there costs the caller's slice
-assignment and no resume of the walk. ``candidates`` is the one
-definition of the order, and ``synthesis.enumerate_candidates`` yields
-all of it.
+fastest. The odometer finds each class's choices once, by a walk over
+the class's positions on a stack of option iterators, and keeps them in
+a list, so most candidates cost one slice assignment; the lists of all
+classes together hold at most ``CELL_CAP`` cells, and a class that would
+pass that walks its positions afresh on every entry. The odometer hands
+the last class it steps to its caller whole, a list at a time, so a
+candidate there costs the caller's slice assignment and no resume of
+the walk. ``candidates`` is the one definition of the order, and
+``synthesis.enumerate_candidates`` yields all of it.
 
-The sweep checks the first candidate alone. If it is doomed, the sweep
-holds each class that lies on no cycle of the class graph at its first
-choice. That graph has an edge c -> d when two members of c have
-options u != v that both lie in d. A closed loop is unobservable
+The sweep steps a class exactly when it lies on a cycle of the class
+graph and some member has two options; every other class stands at its
+first choice. The class graph has an edge c -> d when two members of c
+have options u != v that both lie in d. A closed loop is unobservable
 exactly when it has two distinct equivalent states. They have equal
 outputs, so they lie in one class, and since a candidate gives
 equal-output positions distinct successors, their successors are again
 two distinct equivalent states, along an edge of the class graph. Their
 walk repeats a pair at last, so some cycle of pairs, all in classes on
 cycles, dooms the closed loop, and it reads only those classes'
-successors. A held class's other choices therefore give every choice of
-the other classes the verdict that its first choice gave. So a held
-class stands in the candidate like a class of one choice, and the
-odometer steps the looped classes only: the last of them hands out its
-list whole even when held classes follow it. A one-state class has no
-edge at all, and is the simplest held class. The sweep's ``checked`` is
-still the rank in the full order, the number of candidates up to and
-including the witness, or all of them, read off the odometer's digits
-as a mixed-radix number whose radices are the classes' numbers of
-choices, a held class's digit being 0; it is not the number of leaf
-checks, which can be much lower. The first witness, if any, has every
-held class at its first choice, as that candidate ranks no later and
-has the same verdict.
+successors. A class on no cycle therefore gives every choice of the
+other classes, with any of its own choices, the verdict that its first
+choice gave; a class whose members each have one option has one choice
+at most, and a one-state class has no edge at all. The sweep builds the
+graph before any walk, holds every class it does not step at its first
+choice, which one walk of the held classes writes into the candidate,
+and steps the others only: the last of them hands out its list whole
+even when held classes follow it. The sweep's ``checked`` is still the
+rank in the full order, the number of candidates up to and including
+the witness, or all of them, read off the odometer's digits as a
+mixed-radix number whose radices are the classes' numbers of choices,
+a held class's digit being 0; it is not the number of leaf checks,
+which can be much lower. The first witness, if any, has every held
+class at its first choice, as that candidate ranks no later and has the
+same verdict.
 
 A class's walk can thrash: an early position takes a value that a much
 later position of the same class needs, and the walk tries every choice
@@ -204,10 +203,7 @@ def candidates(succ, ends):
     holding positions: the same list every time, changed in place when
     the walk resumes, so copy it to keep it. See ``_walk``.
     """
-    succ0 = [0] * len(succ)
-    spans = _spans(succ, ends, succ0)
-    if spans is None:
-        return
+    succ0, spans = [0] * len(succ), list(zip(ends, ends[1:]))
     last = _last_slice(spans, len(succ))
     for choices in _walk(succ, spans, succ0):
         for choice in choices:
@@ -215,39 +211,17 @@ def candidates(succ, ends):
             yield succ0
 
 
-def _spans(succ, ends, succ0):
-    """The spans ``(a, b)`` of the classes that the walk steps, in order,
-    or None when a class of one-option members has no choice, as two of
-    them share their option.
-
-    A class whose members each have one option has at most one choice.
-    When its options are distinct, it is written into ``succ0`` here, once,
-    and left out of the walk; so is every such class but the last when all
-    classes are like that, as the walk steps at least one class.
-    """
-    spans = []
-    for a, b in zip(ends, ends[1:]):
-        if len(succ[a]) > 1 or sum(map(len, succ[a:b])) > b - a:  # a member has two options
-            spans.append((a, b))
-            continue
-        only = [s[0] for s in succ[a:b]]
-        if len(set(only)) < b - a:
-            return None
-        succ0[a:b] = only
-    return spans or [(ends[-2], ends[-1])]
-
-
 def _last_slice(spans, n):
     """The slice of a candidate that the walk's handed-out choices fill:
     the last span, open-ended when it ends the candidate, as a slice
-    without a stop assigns faster."""
-    a, b = spans[-1]
+    without a stop assigns faster; empty when there is no span."""
+    a, b = spans[-1] if spans else (0, 0)
     return slice(a, None if b == n else b)
 
 
-def _held(succ, ends, spans, succ0):
-    """Per span, its choice in ``succ0`` when its class lies on no cycle
-    of the class graph, else None.
+def _looped(succ, ends, out):
+    """Per class, whether it lies on a cycle of the class graph; ``out``
+    labels each position with its class.
 
     The class graph has an edge c -> d when two members of c have options
     u != v that both lie in d: the one way that a pair of distinct states
@@ -257,14 +231,13 @@ def _held(succ, ends, spans, succ0):
     The edge c -> d is there exactly when two members of c reach d and
     two values of d are reached.
     """
-    where = [k for k in range(len(ends) - 1) for _ in range(ends[k], ends[k + 1])]
     graph = []
     for a, b in zip(ends, ends[1:]):
         # per class reached: its first member and value, and whether another came
         member, value, members, values = {}, {}, set(), set()
         for p in range(a, b):
             for v in succ[p]:
-                d = where[v]
+                d = out[v]
                 if member.setdefault(d, p) != p:
                     members.add(d)
                 if value.setdefault(d, v) != v:
@@ -274,15 +247,15 @@ def _held(succ, ends, spans, succ0):
     for component in _strong_components(graph):
         for c in component:
             looped[c] = len(component) > 1 or c in graph[c]
-    return [None if looped[where[a]] else succ0[a:b] for a, b in spans]
+    return looped
 
 
 def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
     """Walk the candidate space in sweep order, as ``candidates`` yields it.
 
     The walk steps the classes of ``spans``; every other class stands in
-    ``succ0`` already (``_spans`` writes a class of one choice there, and
-    the sweep a held class). It fills ``succ0`` (one cell per position)
+    ``succ0`` already, where the sweep writes the classes it holds. It
+    fills ``succ0`` (one cell per position)
     and yields the last span's choices in order: with each of them put at
     ``succ0[a:b]`` in turn, where ``(a, b)`` is the last span, ``succ0`` is
     the next candidate. Every earlier class stands in ``succ0`` until the
@@ -416,15 +389,17 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     total when there is no witness, passes ``cap``, and so evaluates at
     most ``cap`` candidates.
 
-    The first candidate is checked alone. If it is doomed, each class on
-    no cycle of the class graph (``_held``) stays at its first choice, as
-    a class of one choice does: no cycle of equal-output pairs reads its
-    successors, so each of its other choices gives every choice of the
-    other classes the verdict that the first choice gave it. ``_walk``
-    steps the looped classes only, and the rank is read off its digits:
+    The class graph (``_looped``) is built first. A class on a cycle of
+    it with a member of two options is stepped; every other class is
+    held at its first choice, which one walk of the held classes writes
+    into the candidate (a held class with no choice leaves no candidate):
+    no cycle of equal-output pairs reads a held class's successors, or it
+    has one choice, so each of its other choices gives every choice of
+    the other classes the verdict that the first choice gave it. ``_walk``
+    steps the other classes, and the rank is read off its digits:
     ``1 + sum(index[k] * W[k])`` over every class, where ``W[k]`` is the
     product of the numbers of choices of the classes after k, and a held
-    class's digit is 0. A looped class's number is known by the time an
+    class's digit is 0. A stepped class's number is known by the time an
     earlier digit moves, as the odometer has then gone through the class;
     a held class's is counted by ``_count`` when a rank first needs it,
     and no further than the cap. EXHAUSTED reports the product of all.
@@ -432,27 +407,18 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     out = []  # each position's class index
     for k in range(len(ends) - 1):
         out += [k] * (ends[k + 1] - ends[k])
-    succ0 = [0] * len(succ)
-    spans = _spans(succ, ends, succ0)
-    if spans is None:
-        return EXHAUSTED, 0, None
-    index, counts = [0] * len(spans), [0] * len(spans)
-    walk = _walk(succ, spans, succ0, index, counts)
-    if next(walk, None) is None:
-        return EXHAUSTED, 0, None  # no candidate
-    if cap == 0:
-        return CAP_REACHED, 0, None
-    hint = _unsafe_pair(succ0, out, None)  # the first candidate, which now stands in succ0
-    if hint is None:
-        return FOUND, 1, tuple(succ0)
-    loop, gaps = [], [[]]  # the looped classes; the held ones before each, then after the last
-    for span, held in zip(spans, _held(succ, ends, spans, succ0)):
-        if held is None:
-            loop.append(span)
+    loop, gaps = [], [[]]  # the stepped classes; the held ones before each, then after the last
+    for a, b, looped in zip(ends, ends[1:], _looped(succ, ends, out)):
+        if looped and sum(map(len, succ[a:b])) > b - a:  # a member has two options
+            loop.append((a, b))
             gaps.append([])
         else:
-            gaps[-1].append(span)
-    weights = [None] * len(gaps)
+            gaps[-1].append((a, b))
+    succ0 = [0] * len(succ)
+    held = [span for gap in gaps for span in gap]
+    if held and next(_walk(succ, held, succ0, keep=False), None) is None:
+        return EXHAUSTED, 0, None  # a held class has no choice
+    index, counts, weights = [0] * len(loop), [0] * len(loop), [None] * len(gaps)
 
     def weight(i):  # gap i's held classes' number of choices, past cap once it passes it
         if weights[i] is None:
@@ -461,29 +427,26 @@ def sweep_first_observable(succ, ends, cap: int = -1):
                 weights[i] *= _count(succ, span, cap // weights[i])
         return weights[i]
 
-    def position():  # (r, t): choice j of the row just handed out ranks 1 + (r + j) * t
+    def position():  # r: choice j of the row handed out ranks 1 + (r + j) * weight(len(loop))
         r = 0
         for i, digit in enumerate(index):
             r = r * counts[i] * weight(i) + digit if r else digit
-        return r, weight(len(loop))
+        return r
 
-    if len(loop) < len(spans):  # step the looped classes only, from the first candidate again
-        index, counts = index[:len(loop)], counts[:len(loop)]
-        walk = _walk(succ, loop, succ0, index, counts) if loop else iter(())
-        next(walk, None)
-    last, capped = _last_slice(loop, len(succ)) if loop else None, False
+    # with no stepped class, the one candidate stands in succ0, and one empty choice checks it
+    walk = _walk(succ, loop, succ0, index, counts) if loop else [([],)]
+    last, capped, hint = _last_slice(loop, len(succ)), False, None
     for choices in walk:
         if cap >= 0:
-            r, t = position()
-            keep = (cap - 1) // t - r + 1  # the choices ranked up to cap
+            keep = (cap - 1) // weight(len(loop)) - position() + 1  # the choices ranked up to cap
             if keep < len(choices):
                 choices, capped = choices[:max(keep, 0)], True
         for choice in choices:
             succ0[last] = choice
             hint = _unsafe_pair(succ0, out, hint)
             if hint is None:
-                r, t = position()
-                return FOUND, 1 + (r + choices.index(choice)) * t, tuple(succ0)
+                r = position() + choices.index(choice)
+                return FOUND, 1 + (r and r * weight(len(loop))), tuple(succ0)
         if capped:
             return CAP_REACHED, cap, None
     total = prod(counts) * prod(map(weight, range(len(gaps))))

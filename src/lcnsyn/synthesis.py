@@ -23,11 +23,13 @@ open-loop observability decision (a depth-first walk of the pair graph
 that stops at the first merge or cycle and builds no witness path),
 these pre-checks and the sweep, in that order; the per-class counts come
 last and decide nothing. The sweep ranks every candidate but verifies
-fewer: a class whose members each have one option has one choice, and
-a class on no cycle of the class graph (an edge c -> d when two members
-of c have distinct options in d) never decides a verdict, so it stays
-at its first choice, like a class of one choice, and the rank counts
-its other choices as a mixed-radix number over the classes' counts.
+fewer: it steps a class only when the class lies on a cycle of the
+class graph (an edge c -> d when two members of c have distinct options
+in d) and a member has two options. Every other class stays at its
+first choice, as a class on no cycle never decides a verdict and a
+class whose members each have one option has one choice at most, and
+the rank counts its other choices as a mixed-radix number over the
+classes' counts.
 Each class's number of injective choices (``injective_choice_count``)
 multiplies into the refined candidate bound; the product of block
 column counts is the naive bound. Members in different connected
@@ -345,7 +347,7 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     ``candidates_checked`` is the number of candidates in sweep order up
     to and including the witness, or all of them; it is not the number of
     closed loops verified. An output class on no cycle of the class graph
-    (``_kernel_py._held``; a class of one state is one) never decides a
+    (``_kernel_py._looped``; a class of one state is one) never decides a
     verdict: the sweep verifies its first choice only, and reads the rank
     off the classes' numbers of choices as a mixed-radix number, so it
     counts the candidates with the others, which share those verdicts.

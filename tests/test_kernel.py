@@ -416,12 +416,13 @@ def held_class_network(rng, i):
 
 
 class TestHeldClasses:
-    """The sweep writes each class whose members have one option each
-    into the candidate once, and holds each class on no cycle of the
-    class graph at its first choice: no cycle of equal-output pairs reads
-    its successors, so its other choices are counted into ``checked``,
-    never checked as leaves. A class of one state has no edge, and is
-    held too."""
+    """The sweep steps a class exactly when it lies on a cycle of the
+    class graph and some member has two options, and holds every other
+    class at its first choice: no cycle of equal-output pairs reads a
+    class on no cycle, and a class whose members have one option each has
+    one choice at most, so a held class's other choices are counted into
+    ``checked``, never checked as leaves. A class of one state has no
+    edge, and is held too."""
 
     @pytest.mark.parametrize("bound", [_kernel_py.CELL_CAP, 3])
     def test_matches_the_reference_sweep(self, monkeypatch, rng, bound):
@@ -473,6 +474,8 @@ class TestHeldClasses:
                                len(odometer) > 1
                                and any(odometer[0] < k < odometer[-1] for k in held),
                            "two held classes": len(held) >= 2,
+                           "no class stepped, exhausted":  # its one first candidate doomed
+                               not odometer and status == _kernel_py.EXHAUSTED and checked > 0,
                            "fixed class": any(fixed),
                            "fixed class last": fixed[-1],
                            "streaming class": any(c * len(cls) > bound
@@ -490,7 +493,7 @@ class TestHeldClasses:
         for shape in ("found", "exhausted", "held class of several states",
                       "held one-state class", "held class last", "two held classes",
                       "held class after the last looped class",
-                      "held class between two looped classes",
+                      "held class between two looped classes", "no class stepped, exhausted",
                       "fixed class", "fixed class last", "fewer leaf checks",
                       "cap inside a skipped block"):
             assert shapes[shape] >= 200, shapes
@@ -510,9 +513,9 @@ class TestHeldClasses:
             classes, succ = state_arguments(lcn)
             problem = _Problem(lcn)
             looped = looped_classes(classes, succ)
-            spans = list(zip(problem.ends, problem.ends[1:]))
-            assert [h is None for h in _kernel_py._held(problem.succ, problem.ends, spans,
-                                                         [0] * n)] == looped
+            ends = problem.ends
+            out = [k for k in range(len(ends) - 1) for _ in range(ends[k], ends[k + 1])]
+            assert _kernel_py._looped(problem.succ, ends, out) == looped
             held = [k for k, cycled in enumerate(looped) if not cycled]
             verdicts = {}  # (held class, the other classes' choices) -> the verdicts
             for succ0 in reference_candidates(classes, succ):
@@ -585,7 +588,7 @@ class TestHeldClasses:
         assert _kernel_py.sweep_first_observable(succ, [0, 3, 6, 8]) == (_kernel_py.EXHAUSTED,
                                                                           216, None)
         assert leaves[0] == 36  # 6 x 6 candidates, the held class at its first choice
-        assert resumes[0] == 1 + 6 + 5  # the first candidate, then the looped classes' walk
+        assert resumes[0] == 6 + 5  # the looped classes' walk, the first candidate in it
 
     @pytest.mark.parametrize("after", [0, 2])
     def test_a_capped_sweep_stops_counting_a_held_class(self, after):
