@@ -44,7 +44,8 @@ and steps the others only: the last of them hands out its list whole
 even when held classes follow it. The sweep's ``checked`` is still the
 rank in the full order, the number of candidates up to and including
 the witness, or all of them, read off the odometer's digits as a
-mixed-radix number whose radices are the classes' numbers of choices,
+mixed-radix number whose radices are the classes' numbers of choices
+(a held class's counted by ``_choice_count``, as the report counts it),
 a held class's digit being 0; it is not the number of leaf checks,
 which can be much lower. The first witness, if any, has every held
 class at its first choice, as that candidate ranks no later and has the
@@ -61,9 +62,10 @@ the remaining positions no system of distinct representatives
 constraints the same way). Such a prefix has no choice below it, so the
 rule skips only subtrees without a leaf, and the candidates and their
 order stay as they are. The count keeps the matchings off the walks
-that do not thrash. The matching lives here, and ``synthesis`` imports
-it for its zero-choice test and its counts: a kernel that imported
-``synthesis`` would close an import cycle.
+that do not thrash. The matching and the count of a class's choices
+(``_choice_count``, per component of the member-value graph) live here,
+and ``synthesis`` imports both, for its zero-choice test and its counts:
+a kernel that imported ``synthesis`` would close an import cycle.
 
 A leaf is a closed loop ``x+ = succ0[x]``, ``y = out[x]``, a Moore
 machine with one input, and it is observable exactly when no two of its
@@ -86,7 +88,8 @@ pair is found, never a result.
 
 from __future__ import annotations
 
-from math import prod
+from heapq import heapify, heappop, heappush
+from math import inf, prod
 
 from .analysis import _strong_components
 from .stp import CELL_CAP
@@ -196,6 +199,107 @@ def _has_distinct_choice(options) -> bool:
     return True
 
 
+def _components(options):
+    """The option lists of each connected component of the bipartite
+    member-value graph (two members are joined when they share a value),
+    members in counting order. One maximum cardinality search (Tarjan and
+    Yannakakis 1984) finds both: the next member taken offers the most
+    values that taken members offer, ties to fewer options, then to the
+    given order; a member that shares none starts the next component.
+    Choices in different components never collide, and a member that many
+    earlier members compete with has few free values left when counted."""
+    offering: dict[int, list[int]] = {}  # value -> the members offering it
+    for i, opts in enumerate(options):
+        for v in opts:
+            offering.setdefault(v, []).append(i)
+    shared = [0] * len(options)  # per member, how many of its values are taken ones'
+    heap = [(0, len(opts), i) for i, opts in enumerate(options)]
+    heapify(heap)
+    taken, blocks = set(), []
+    while heap:
+        key, _size, i = heappop(heap)
+        if key != -shared[i]:
+            continue  # stale: only a member's latest entry holds its count, and pops once
+        taken.add(i)
+        if not key:
+            blocks.append([])
+        blocks[-1].append(options[i])
+        for v in options[i]:
+            for j in offering.pop(v, ()):  # each value once, when first taken
+                if j not in taken:
+                    shared[j] += 1
+                    heappush(heap, (-shared[j], len(options[j]), j))
+    return blocks
+
+
+def _distinct_choice_count(options, budget, stop=-1) -> tuple[int | None, int]:
+    """(count, budget left) for the pairwise-distinct choices, or (None, 0)
+    once more than ``budget`` nodes are visited; with ``stop >= 0``,
+    ``stop + 1`` as soon as the count passes ``stop``. Depth first on a
+    stack of option iterators, one per member, and one set of used values.
+    The second-to-last member does not step into the last: each free value
+    v it takes adds the last member's free options, less v if it is one.
+    That number, ``free``, is kept up to date as values are taken and
+    freed, so every node does constant work."""
+    *walk, last = options
+    if not walk:
+        return (stop + 1 if 0 <= stop < len(last) else len(last)), budget
+    last = set(last)
+    top = len(walk) - 1  # the second-to-last member
+    used, chosen = set(), [0] * top
+    its = [iter(walk[0])] + [None] * (top - 1)
+    total, pos, free = 0, 0, len(last)  # free: the last member's options not used
+    while budget >= 0:
+        if pos == top:
+            for v in walk[top]:
+                if v not in used:
+                    total += free - (v in last)
+                    budget -= 1
+            if 0 <= stop < total:
+                return stop + 1, budget
+        else:
+            for v in its[pos]:
+                if v not in used:
+                    break
+            else:
+                v = -1
+            if v >= 0:
+                budget -= 1
+                used.add(v)
+                if v in last:
+                    free -= 1
+                chosen[pos] = v
+                pos += 1
+                if pos < top:
+                    its[pos] = iter(walk[pos])
+                continue
+        pos -= 1  # no free value left: step back and free the previous member's
+        if pos < 0:
+            break
+        v = chosen[pos]
+        used.discard(v)
+        if v in last:
+            free += 1
+    return (total, budget) if budget >= 0 else (None, 0)
+
+
+def _choice_count(options, budget=inf, stop=-1) -> int | None:
+    """The number of pairwise-distinct choices from the option lists: the
+    product, over the components of :func:`_components`, of each one's
+    :func:`_distinct_choice_count`, the components sharing one budget of
+    nodes, and None once it runs out. With ``stop >= 0``, ``stop + 1`` as
+    soon as the product passes ``stop``: each component counts no further
+    than the stop over the product before it. A component that counts 0
+    ends the product at 0."""
+    total = 1
+    for block in _components(options):
+        count, budget = _distinct_choice_count(block, budget, stop // total)
+        if not count:
+            return count  # 0, or None past the budget
+        total *= count
+    return stop + 1 if 0 <= stop < total else total
+
+
 def candidates(succ, ends):
     """Every candidate in sweep order; the one definition of that order.
 
@@ -250,7 +354,7 @@ def _looped(succ, ends, out):
     return looped
 
 
-def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
+def _walk(succ, spans, succ0, index=None, counts=None):
     """Walk the candidate space in sweep order, as ``candidates`` yields it.
 
     The walk steps the classes of ``spans``; every other class stands in
@@ -278,9 +382,9 @@ def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
     list, so a leaf costs one slice assignment. The rows of all classes
     together hold at most ``CELL_CAP`` cells (one per position per
     choice): a class that would pass that drops its row and walks its
-    positions afresh on every entry, and with ``keep`` false every class
-    does. A class with no choice ends the walk, as the product is then
-    empty.
+    positions afresh on every entry. A class with no choice ends the walk,
+    as the product is then empty. The walk does not count a class it does
+    not step; the sweep counts those with ``_choice_count``.
 
     A class's walk counts its dead ends since its last choice (a resume
     always follows a choice, so the count starts at 0 on every entry).
@@ -293,7 +397,7 @@ def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
     index = [0] * (last + 1) if index is None else index
     counts = [0] * (last + 1) if counts is None else counts
     its = [None] * n  # per position of a walking class, its option iterator
-    rows = [[] if keep else None for _ in spans]  # per class, its choices so far; None: it streams
+    rows = [[] for _ in spans]  # per class, its choices so far; None: it streams
     done = [False] * (last + 1)  # per class, whether rows[k] holds all its choices
     cells, k, fresh = 0, 0, True
     while k >= 0:
@@ -365,17 +469,6 @@ def _walk(succ, spans, succ0, index=None, counts=None, keep=True):
             k, fresh = k + 1, True
 
 
-def _count(succ, span, stop):
-    """The number of choices of the class at ``span``, by a walk of the
-    class alone that keeps no row; with ``stop >= 0`` the walk ends as
-    soon as the number passes ``stop``, and returns ``stop + 1``."""
-    count = 0
-    for count, _ in enumerate(_walk(succ, [span], [0] * len(succ), keep=False), 1):
-        if count > stop >= 0:
-            break
-    return count
-
-
 def sweep_first_observable(succ, ends, cap: int = -1):
     """Search the candidate space for the first observable closed loop.
 
@@ -401,8 +494,11 @@ def sweep_first_observable(succ, ends, cap: int = -1):
     product of the numbers of choices of the classes after k, and a held
     class's digit is 0. A stepped class's number is known by the time an
     earlier digit moves, as the odometer has then gone through the class;
-    a held class's is counted by ``_count`` when a rank first needs it,
-    and no further than the cap. EXHAUSTED reports the product of all.
+    a held class's is counted when a rank first needs it, by
+    ``_choice_count``, the per-component count the report's bounds use,
+    with no node budget and no further than the cap. The held classes'
+    walk keeps its first choice only, one row of one choice per class.
+    EXHAUSTED reports the product of all.
     """
     out = []  # each position's class index
     for k in range(len(ends) - 1):
@@ -416,15 +512,15 @@ def sweep_first_observable(succ, ends, cap: int = -1):
             gaps[-1].append((a, b))
     succ0 = [0] * len(succ)
     held = [span for gap in gaps for span in gap]
-    if held and next(_walk(succ, held, succ0, keep=False), None) is None:
+    if held and next(_walk(succ, held, succ0), None) is None:
         return EXHAUSTED, 0, None  # a held class has no choice
     index, counts, weights = [0] * len(loop), [0] * len(loop), [None] * len(gaps)
 
     def weight(i):  # gap i's held classes' number of choices, past cap once it passes it
         if weights[i] is None:
             weights[i] = 1
-            for span in gaps[i]:
-                weights[i] *= _count(succ, span, cap // weights[i])
+            for a, b in gaps[i]:
+                weights[i] *= _choice_count(succ[a:b], stop=cap // weights[i])
         return weights[i]
 
     def position():  # r: choice j of the row handed out ranks 1 + (r + j) * weight(len(loop))

@@ -37,7 +37,9 @@ components of the member-successor graph never collide, so a class
 counts per component, in maximum cardinality search order, exponential
 only in the largest component, under a node budget per class: past it
 the count is unknown (None), and so is the refined bound. Each node of a count does constant work: the last member's number
-of free options is kept up to date as values are taken and freed.
+of free options is kept up to date as values are taken and freed. The
+count lives in ``_kernel_py``, and the sweep counts its held classes
+with it, with no node budget and no further than its cap.
 
 Controllability is the opposite story: feedback only ever removes
 transition-graph edges, so an uncontrollable network can never be made
@@ -49,12 +51,15 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import prod
 
 from . import _kernel_py
-from ._kernel_py import _has_distinct_choice
+# the count lives in the kernel, whose sweep counts its held classes with
+# it, and a kernel that imported synthesis would close an import cycle;
+# _components and _distinct_choice_count stay names of this module too
+from ._kernel_py import (_choice_count, _components, _distinct_choice_count,
+                         _has_distinct_choice)
 from ._value import Value
 # is_observable is unused here, but stays a name of this module: the
 # benchmark's tracer tests (perfbench/tests) read synthesis.is_observable
@@ -134,92 +139,11 @@ def _obstructions(group):
                 yield Obstruction("locked_pair", j, k)
 
 
-def _components(options):
-    """The option lists of each connected component of the bipartite
-    member-value graph (two members are joined when they share a value),
-    members in counting order. One maximum cardinality search (Tarjan and
-    Yannakakis 1984) finds both: the next member taken offers the most
-    values that taken members offer, ties to fewer options, then to the
-    given order; a member that shares none starts the next component.
-    Choices in different components never collide, and a member that many
-    earlier members compete with has few free values left when counted."""
-    offering: dict[int, list[int]] = {}  # value -> the members offering it
-    for i, opts in enumerate(options):
-        for v in opts:
-            offering.setdefault(v, []).append(i)
-    shared = [0] * len(options)  # per member, how many of its values are taken ones'
-    heap = [(0, len(opts), i) for i, opts in enumerate(options)]
-    heapify(heap)
-    taken, blocks = set(), []
-    while heap:
-        key, _size, i = heappop(heap)
-        if key != -shared[i]:
-            continue  # stale: only a member's latest entry holds its count, and pops once
-        taken.add(i)
-        if not key:
-            blocks.append([])
-        blocks[-1].append(options[i])
-        for v in options[i]:
-            for j in offering.pop(v, ()):  # each value once, when first taken
-                if j not in taken:
-                    shared[j] += 1
-                    heappush(heap, (-shared[j], len(options[j]), j))
-    return blocks
-
-
 #: The nodes one output class's count may visit (a node is a member that
 #: takes a value, the last member of a component excepted); past it the
 #: count is unknown. Counting is a 0/1 permanent, #P-complete (Valiant
 #: 1979), so no budget fits every class.
 COUNT_BUDGET = 1 << 23
-
-
-def _distinct_choice_count(options, budget: int) -> tuple[int | None, int]:
-    """(count, budget left) for the pairwise-distinct choices, or (None, 0)
-    once more than ``budget`` nodes are visited. Depth first on a stack of
-    option iterators, one per member, and one set of used values. The
-    second-to-last member does not step into the last: each free value v
-    it takes adds the last member's free options, less v if it is one.
-    That number, ``free``, is kept up to date as values are taken and
-    freed, so every node does constant work."""
-    *walk, last = options
-    if not walk:
-        return len(last), budget
-    last = set(last)
-    top = len(walk) - 1  # the second-to-last member
-    used, chosen = set(), [0] * top
-    its = [iter(walk[0])] + [None] * (top - 1)
-    total, pos, free = 0, 0, len(last)  # free: the last member's options not used
-    while budget >= 0:
-        if pos == top:
-            for v in walk[top]:
-                if v not in used:
-                    total += free - (v in last)
-                    budget -= 1
-        else:
-            for v in its[pos]:
-                if v not in used:
-                    break
-            else:
-                v = -1
-            if v >= 0:
-                budget -= 1
-                used.add(v)
-                if v in last:
-                    free -= 1
-                chosen[pos] = v
-                pos += 1
-                if pos < top:
-                    its[pos] = iter(walk[pos])
-                continue
-        pos -= 1  # no free value left: step back and free the previous member's
-        if pos < 0:
-            break
-        v = chosen[pos]
-        used.discard(v)
-        if v in last:
-            free += 1
-    return (total, budget) if budget >= 0 else (None, 0)
 
 
 def injective_choice_count(options) -> int | None:
@@ -230,8 +154,10 @@ def injective_choice_count(options) -> int | None:
     of each component's count, so the work is exponential in the largest
     component rather than in the class. One maximum cardinality search
     (:func:`_components`) splits the class into components and orders each
-    component's members, and each count runs in that order. The components
-    share one budget of ``COUNT_BUDGET`` nodes; None when it runs out."""
+    component's members, and each count runs in that order
+    (``_kernel_py._choice_count``, which the sweep's held classes share).
+    The components share one budget of ``COUNT_BUDGET`` nodes, read at
+    each call; None when it runs out."""
     # synthesize_observability has run this matching already, for
     # zero_choice_class, and it runs again here on purpose. The count is
     # also called on its own (candidate_bounds, ``lcnsyn bounds``), and a
@@ -242,13 +168,7 @@ def injective_choice_count(options) -> int | None:
     # per class.
     if not _has_distinct_choice(options):
         return 0
-    total, budget = 1, COUNT_BUDGET
-    for block in _components(options):
-        count, budget = _distinct_choice_count(block, budget)
-        if count is None:
-            return None
-        total *= count
-    return total
+    return _choice_count(options, COUNT_BUDGET)
 
 
 class _Problem:
@@ -351,8 +271,9 @@ def synthesize_observability(lcn: Lcn, max_candidates: int | None = None,
     verdict: the sweep verifies its first choice only, and reads the rank
     off the classes' numbers of choices as a mixed-radix number, so it
     counts the candidates with the others, which share those verdicts.
-    The sweep learns those numbers itself and never calls
-    ``injective_choice_count``. A candidate cap
+    The sweep learns a stepped class's number from its walk and counts a
+    held class's with the count ``injective_choice_count`` runs, with no
+    node budget; it never calls ``injective_choice_count``. A candidate cap
     (``max_candidates``) turns exhaustion into DECISION_INCOMPLETE
     instead of guessing, with ``candidates_checked`` equal to the cap,
     and bounds the closed loops verified; a cap that is not an int (a

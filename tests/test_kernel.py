@@ -577,9 +577,9 @@ class TestHeldClasses:
         resumes = [0]
         walk = _kernel_py._walk
 
-        def counted(*args, keep=True):
-            for choices in walk(*args, keep=keep):
-                resumes[0] += keep  # the counting walks keep no rows
+        def counted(succ, spans, succ0, index=None, counts=None):
+            for choices in walk(succ, spans, succ0, index, counts):
+                resumes[0] += index is not None  # the stepping walk; the held one yields once
                 yield choices
 
         monkeypatch.setattr(_kernel_py, "_walk", counted)
@@ -594,9 +594,9 @@ class TestHeldClasses:
     def test_a_capped_sweep_stops_counting_a_held_class(self, after):
         # a held class of k states, each offered the k states of a class
         # that maps onto itself, so every candidate is doomed; with no class
-        # after it, or a looped class of two choices: the sweep learns the
-        # held class's k! choices by walking them, and at a small cap it
-        # must stop that walk near the cap instead of walking them all
+        # after it, or a looped class of two choices: the sweep counts the
+        # held class's k! choices, and at a small cap it must stop that
+        # count near the cap instead of counting them all
         entered = [0]  # option lists walked
 
         class Options(list):
@@ -617,6 +617,23 @@ class TestHeldClasses:
         assert _kernel_py.sweep_first_observable(*arguments(9), 5) == (_kernel_py.CAP_REACHED, 5,
                                                                        None)
         assert entered[0] < 100  # of 9! = 362 880 choices
+
+    def test_an_uncapped_sweep_counts_a_held_class_below_its_choices(self):
+        # the held class of the capped test above at k = 8, uncapped: the
+        # count adds the last member's free options in bulk for each value
+        # of the member before it, so it walks fewer option lists than the
+        # class has choices
+        entered = [0]  # option lists walked
+
+        class Options(list):
+            def __iter__(self):
+                entered[0] += 1
+                return super().__iter__()
+
+        succ = [Options(range(8, 16)) for _ in range(8)] + [Options([p]) for p in range(8, 16)]
+        assert _kernel_py.sweep_first_observable(succ, [0, 8, 16]) == (_kernel_py.EXHAUSTED,
+                                                                       40_320, None)
+        assert entered[0] < 40_320
 
     def test_exhaustive_pin_takes_a_third_of_the_leaf_checks(self, monkeypatch):
         # the synth-exhaustive pool's pinned network: its one held class is

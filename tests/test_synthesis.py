@@ -31,7 +31,7 @@ from lcnsyn import (
     output_partition,
     synthesize_observability,
 )
-from lcnsyn import analysis, kernel, synthesis
+from lcnsyn import _kernel_py, analysis, kernel, synthesis
 from lcnsyn.synthesis import _Problem, injective_choice_count, structural_obstruction
 
 # Two equal-output states each locked onto itself: candidates exist but
@@ -252,6 +252,35 @@ class TestInjectiveChoiceCount:
                         (opts, budget)
                     short += expected[0] is None
         assert short > 1000
+
+    def test_the_count_with_a_stop_matches_the_brute_force_count(self):
+        # 1-3 blocks of members over disjoint value ranges, shuffled, so
+        # that most lists have several components; each is counted with no
+        # stop and with stops around its count, then again with five more
+        # members over four values of their own, a component that counts 0.
+        # Those members have the most options, so their component is
+        # counted last, after the others' product has passed the stop
+        rng = random.Random(26)
+        split = 0
+        for _ in range(1000):
+            opts = []
+            for b in range(rng.randint(1, 3)):
+                n = rng.randint(1, 4)
+                opts += [sorted(rng.sample(range(10 * b, 10 * b + n), rng.randint(1, min(n, 3))))
+                         for _ in range(rng.randint(1, 3))]
+            rng.shuffle(opts)
+            c = brute_force_count(opts)
+            assert _kernel_py._choice_count(opts) == c, opts
+            assert injective_choice_count(opts) == c, opts
+            assert budgeted_choice_count(opts, 1 << 23)[0] == c, opts
+            doomed = opts + [[40, 41, 42, 43]] * 5
+            rng.shuffle(doomed)
+            for stop in (-1, 0, c - 1, c, c + 1):
+                want = c if stop < 0 or c <= stop else stop + 1
+                assert _kernel_py._choice_count(opts, stop=stop) == want, (opts, stop)
+                assert _kernel_py._choice_count(doomed, stop=stop) == 0, (doomed, stop)
+            split += len(synthesis._components(opts)) > 1
+        assert 400 < split < 900
 
     def test_pigeonhole_class_is_decided_without_counting(self):
         # the count alone would try every injective placement of
